@@ -14,7 +14,9 @@
 //! Indexes over a bucket (sorted lists for COORD/INCR, TA lists, a cover
 //! tree, L2AP, signatures) are built **lazily on first use** — buckets that
 //! every query prunes are never indexed ("LEMP constructs indexes lazily on
-//! first use to further reduce computational cost").
+//! first use to further reduce computational cost"). Dynamic edits keep the
+//! built COORD/INCR lists and QUANT codes current in place and drop the
+//! rest (see [`crate::dynamic`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -107,6 +109,16 @@ pub struct Bucket {
     pub indexes: BucketIndexes,
 }
 
+impl BucketIndexes {
+    /// Drops the indexes that edits don't maintain in place.
+    fn drop_unmaintained(&mut self) {
+        self.ta = None;
+        self.tree = None;
+        self.l2ap = None;
+        self.blsh = None;
+    }
+}
+
 impl Bucket {
     /// A bucket over the given rows (already sorted by non-increasing
     /// length). Used by the initial bucketization and by dynamic
@@ -121,8 +133,10 @@ impl Bucket {
     }
 
     /// Inserts a vector at the position keeping lengths non-increasing
-    /// (after existing entries of equal length) and drops all indexes.
-    /// Returns the insertion position.
+    /// (after existing entries of equal length). Built COORD/INCR lists
+    /// take the new direction spliced in and built QUANT codes encode it
+    /// against the trained codebooks (no retraining); the other indexes
+    /// are dropped. Returns the insertion position.
     pub(crate) fn insert_sorted(&mut self, id: u32, v: &[f64], len: f64) -> usize {
         let pos = self.lengths.partition_point(|&l| l >= len);
         self.ids.insert(pos, id);
@@ -133,12 +147,25 @@ impl Bucket {
         self.origs.insert_row(pos, v).expect("dimension checked by caller");
         self.max_len = self.lengths[0];
         self.min_len = *self.lengths.last().expect("non-empty after insert");
-        self.indexes = BucketIndexes::default();
+        let idx = &mut self.indexes;
+        if let Some(coord) = &mut idx.coord {
+            coord.insert(pos, &dir);
+        }
+        if let Some(incr) = &mut idx.incr {
+            incr.insert(pos, &dir);
+        }
+        if let Some(quant) = &mut idx.quant {
+            quant.insert(pos, &dir);
+        }
+        idx.drop_unmaintained();
         pos
     }
 
-    /// Removes the vector at bucket-local position `lid` and drops all
-    /// indexes. The bucket may become empty; the caller disposes of it.
+    /// Removes the vector at bucket-local position `lid`, cutting it out
+    /// of built COORD/INCR lists and QUANT codes and dropping the other
+    /// indexes. QUANT codes are dropped too (to be retrained) when fewer
+    /// probes than centroids remain. The bucket may become empty; the
+    /// caller disposes of it.
     pub(crate) fn remove_at(&mut self, lid: usize) {
         self.ids.remove(lid);
         self.lengths.remove(lid);
@@ -146,7 +173,20 @@ impl Bucket {
         self.origs.remove_row(lid);
         self.max_len = self.lengths.first().copied().unwrap_or(0.0);
         self.min_len = self.lengths.last().copied().unwrap_or(0.0);
-        self.indexes = BucketIndexes::default();
+        let idx = &mut self.indexes;
+        if let Some(coord) = &mut idx.coord {
+            coord.remove(lid);
+        }
+        if let Some(incr) = &mut idx.incr {
+            incr.remove(lid);
+        }
+        if idx.quant.as_ref().is_some_and(|q| q.k() >= q.len()) {
+            idx.quant = None;
+        }
+        if let Some(quant) = &mut idx.quant {
+            quant.remove(lid);
+        }
+        idx.drop_unmaintained();
     }
 
     /// Splits off the shorter half into a new bucket (used when dynamic

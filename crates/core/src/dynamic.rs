@@ -8,17 +8,40 @@
 //! module extends LEMP's bucket structure with incremental maintenance:
 //!
 //! * **Insert**: the new vector is routed to the bucket whose length range
-//!   contains it (binary search over the bucket boundaries), placed at its
-//!   sorted position, and the bucket's lazy indexes are dropped — they
-//!   rebuild on the next query that needs them, exactly like the paper's
-//!   lazy construction. When a vector falls *between* two buckets' ranges,
-//!   a quality rule mirroring the paper's bucketization decides between
-//!   joining a neighbour (if the ratio or min-size rule allows) and opening
-//!   a fresh bucket. Buckets pushed past the cache cap split in half.
+//!   contains it (binary search over the bucket boundaries) and placed at
+//!   its sorted position. When a vector falls *between* two buckets'
+//!   ranges, a quality rule mirroring the paper's bucketization decides
+//!   between joining a neighbour (if the ratio or min-size rule allows) and
+//!   opening a fresh bucket. Buckets pushed past the cache cap split in
+//!   half.
 //! * **Remove**: the vector's bucket is located through its length (lengths
 //!   are tracked per id, and computed with the same `kernels::norm` used by
-//!   bucketization, so the lookup is exact), the row is cut out, indexes
-//!   are dropped, and empty buckets disappear.
+//!   bucketization, so the lookup is exact), the row is cut out, and empty
+//!   buckets disappear.
+//!
+//! # Index maintenance
+//!
+//! An edit keeps the touched bucket's already-built indexes current **in
+//! place** instead of rebuilding them (the paper builds each bucket's
+//! indexes once, lazily; an edit should not redo that work):
+//!
+//! * the COORD and INCR sorted lists splice the row in or out in O(r·n)
+//!   and stay equal to a fresh build over the bucket's directions
+//!   ([`crate::index`]);
+//! * QUANT codes encode an inserted direction against the bucket's
+//!   *trained* codebooks — one nearest-centroid search per subspace — and
+//!   record that probe's own distortion bound, so a direction the
+//!   codebooks fit badly loosens only its own pruning test
+//!   ([`crate::quant`]); a removal cuts the probe's codes out;
+//! * TA, cover-tree, L2AP and BLSH indexes are dropped and rebuild on the
+//!   next query that needs them, like the paper's lazy construction.
+//!
+//! Codebooks therefore **train** only at [`DynamicLemp::warm`] (or on first
+//! QUANT use of a cold engine), for a fresh singleton bucket, for both
+//! halves of a cache-cap split, in [`DynamicLemp::rebuild`], and when a
+//! removal would leave a bucket with fewer probes than centroids. On a warm
+//! engine those cases retrain inside the edit; every other edit costs a
+//! splice, so a serving write lock is held for about the WAL append.
 //!
 //! Two invariants survive every edit, and the test suite checks them after
 //! randomized edit scripts:
@@ -82,7 +105,8 @@ pub struct DynamicLemp {
     alive: Vec<bool>,
     live: usize,
     /// Warm-query state ([`DynamicLemp::warm`]); edits keep it consistent
-    /// by rebuilding the touched bucket's indexes inside the edit.
+    /// by building whatever indexes the touched bucket lacks inside the
+    /// edit.
     warm: Option<WarmState>,
 }
 
@@ -132,9 +156,10 @@ impl DynamicLemp {
     /// [`Lemp::warm`]: tunes per-bucket parameters on `sample` and
     /// force-builds every bucket's indexes. Unlike the static engine,
     /// subsequent [`DynamicLemp::insert`]/[`DynamicLemp::remove`] calls
-    /// *keep* the engine warm: the touched bucket's indexes are rebuilt
-    /// inside the edit (under the caller's write exclusivity), so readers
-    /// sharing `&self` never observe a missing index.
+    /// *keep* the engine warm: the touched bucket's indexes are maintained
+    /// or rebuilt inside the edit (under the caller's write exclusivity;
+    /// see the module docs), so readers sharing `&self` never observe a
+    /// missing index.
     ///
     /// # Panics
     /// If the sample dimensionality differs from the probe dimensionality.
@@ -183,8 +208,10 @@ impl DynamicLemp {
         plan::run_request_single(&parts, request, queries, scratch, selector)
     }
 
-    /// Rebuilds the indexes of bucket `b` so the warm invariant (every
-    /// bucket fully indexed) survives an edit that dropped them.
+    /// Builds the indexes bucket `b` lacks after an edit — all of them for
+    /// a fresh or split bucket, codebooks a removal dropped, and the
+    /// indexes edits don't maintain in place — so the warm invariant
+    /// (every bucket fully indexed) survives the edit.
     fn rewarm_bucket(&mut self, b: usize) {
         let params = match &self.warm {
             Some(w) => w.per_bucket[b],
@@ -335,9 +362,8 @@ impl DynamicLemp {
         }
 
         // Keep the warm state aligned and the warm invariant (all buckets
-        // fully indexed) intact: the edit dropped the touched buckets'
-        // indexes, so rebuild them now, while the caller holds exclusive
-        // access.
+        // fully indexed) intact: build what the edit left missing now,
+        // while the caller holds exclusive access.
         if let Some(w) = &mut self.warm {
             if created {
                 w.per_bucket.insert(target, TunedParams::default());
@@ -391,7 +417,8 @@ impl DynamicLemp {
         if dropped {
             buckets.remove(bi);
         }
-        // Warm maintenance: drop or rebuild the touched bucket's slot.
+        // Warm maintenance: drop the emptied bucket's slot, or build what
+        // the edit left missing.
         if dropped {
             if let Some(w) = &mut self.warm {
                 w.per_bucket.remove(bi);
@@ -1118,6 +1145,122 @@ mod tests {
         assert!(loaded.remove(id_l));
     }
 
+    /// Asserts every built COORD/INCR index equals a fresh build over its
+    /// bucket's directions, and every `QuantizedBucket` equals
+    /// `from_parts` of its own codebooks and codes.
+    fn check_indexes_match_fresh_builds(e: &DynamicLemp) {
+        use crate::index::{ColumnIndex, RowIndex};
+        use crate::quant::QuantizedBucket;
+        for (bi, b) in e.buckets().buckets().iter().enumerate() {
+            if let Some(coord) = &b.indexes.coord {
+                let fresh = ColumnIndex::build(&b.dirs);
+                assert_eq!(format!("{coord:?}"), format!("{fresh:?}"), "bucket {bi}: COORD");
+            }
+            if let Some(incr) = &b.indexes.incr {
+                let fresh = RowIndex::build(&b.dirs);
+                assert_eq!(format!("{incr:?}"), format!("{fresh:?}"), "bucket {bi}: INCR");
+            }
+            if let Some(q) = &b.indexes.quant {
+                let fresh = QuantizedBucket::from_parts(
+                    q.bits(),
+                    q.sub_dim(),
+                    q.k(),
+                    q.codebooks().to_vec(),
+                    q.codes().clone(),
+                    &b.dirs,
+                )
+                .unwrap_or_else(|err| panic!("bucket {bi}: {err}"));
+                assert_eq!(q, &fresh, "bucket {bi}: QUANT");
+            }
+        }
+    }
+
+    /// Where a live id sits: `(bucket, local id, bucket length)`.
+    fn locate(e: &DynamicLemp, id: u32) -> (usize, usize, usize) {
+        e.buckets()
+            .buckets()
+            .iter()
+            .enumerate()
+            .find_map(|(bi, b)| b.ids.iter().position(|&x| x == id).map(|lid| (bi, lid, b.len())))
+            .expect("live id is in a bucket")
+    }
+
+    #[test]
+    fn incremental_indexes_equal_a_fresh_build() {
+        // 3-bit codes: k = 8 centroids, so buckets above 8 probes take
+        // removals without retraining and draining one below 8 retrains.
+        let probes = fixture(160, 30);
+        let config = RunConfig { sample_size: 8, quantize_bits: 3, ..Default::default() };
+        // A wide ratio window, so buckets absorb new longest and shortest
+        // vectors instead of opening singletons.
+        let policy = BucketPolicy { length_ratio: 0.5, min_bucket: 12, ..Default::default() };
+        let mut e = DynamicLemp::new(&probes, policy, config);
+        e.warm(&fixture(12, 31), crate::WarmGoal::TopK(3));
+        check_indexes_match_fresh_builds(&e);
+        let mut rng = StdRng::seed_from_u64(32);
+        let (mut fronts, mut backs, mut encoded) = (0, 0, 0);
+        for script in 0..6 {
+            for _ in 0..25 {
+                let buckets = e.buckets().buckets();
+                let b = &buckets[rng.random_range(0..buckets.len())];
+                let row = |lid: usize| b.origs.vector(lid).to_vec();
+                let v: Vec<f64> = match rng.random_range(0..4) {
+                    // A new longest vector (front of the first bucket) or
+                    // a bucket's new shortest one (its back).
+                    0 => buckets[0].origs.vector(0).iter().map(|x| x * 1.000_001).collect(),
+                    1 => row(b.len() - 1).iter().map(|x| x * 0.999_999).collect(),
+                    // Repeated values across lids: an exact duplicate.
+                    2 => row(rng.random_range(0..b.len())),
+                    // Exact zeros of both signs on half the coordinates.
+                    _ => row(rng.random_range(0..b.len()))
+                        .iter()
+                        .enumerate()
+                        .map(|(f, &x)| match f % 4 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => x,
+                        })
+                        .collect(),
+                };
+                let before: Vec<Option<Vec<f64>>> = e
+                    .buckets()
+                    .buckets()
+                    .iter()
+                    .map(|b| b.indexes.quant.as_ref().map(|q| q.codebooks().to_vec()))
+                    .collect();
+                let count = e.bucket_count();
+                let id = e.insert(&v).unwrap();
+                let (bi, lid, len) = locate(&e, id);
+                fronts += usize::from(lid == 0 && len > 1);
+                backs += usize::from(lid + 1 == len && len > 1);
+                // Absorbed by an existing bucket: encoded, not trained.
+                if e.bucket_count() == count {
+                    let q = e.buckets().buckets()[bi].indexes.quant.as_ref().unwrap();
+                    assert_eq!(Some(q.codebooks().to_vec()), before[bi], "insert retrained");
+                    encoded += 1;
+                }
+            }
+            // Drain one bucket below its centroid count (it retrains),
+            // then remove at random.
+            let victim = e.buckets().buckets()[script % e.bucket_count()].ids.clone();
+            for &id in victim.iter().skip(4) {
+                assert!(e.remove(id));
+            }
+            for _ in 0..15 {
+                let id = rng.random_range(0..e.next_id());
+                e.remove(id);
+            }
+            check_invariants(&e);
+            check_indexes_match_fresh_builds(&e);
+            assert!(
+                e.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()),
+                "script {script}: a warm engine keeps every bucket quantized"
+            );
+        }
+        assert!(fronts > 0 && backs > 0, "scripts must edit both bucket ends");
+        assert!(encoded > 0, "scripts must encode into trained codebooks");
+    }
+
     #[test]
     fn quantized_persistence_roundtrips_after_edits() {
         let probes = fixture(120, 25);
@@ -1126,19 +1269,42 @@ mod tests {
         let mut e = DynamicLemp::new(&probes, policy, config);
         let sample = fixture(12, 26);
         e.warm(&sample, crate::WarmGoal::TopK(3));
-        // Edits re-encode the touched bucket inside the edit (rewarm).
+        let warm_codebooks: Vec<Vec<f64>> = e
+            .buckets()
+            .buckets()
+            .iter()
+            .map(|b| b.indexes.quant.as_ref().unwrap().codebooks().to_vec())
+            .collect();
+        // Edits encode into the touched bucket's trained codebooks (and
+        // retrain only buckets that are new or drop below k probes).
         e.insert(&[2.5; 8]).unwrap();
         assert!(e.remove(3));
+        // Directions unlike the Gaussian fixture, at lengths the existing
+        // buckets absorb, until the image holds encoded-not-trained probes.
+        let mut encoded = 0;
+        for i in 0..16 {
+            let len = kernels::norm(probes.vector(i * 7));
+            let mut v = vec![0.0; 8];
+            v[i % 8] = if i % 2 == 0 { len } else { -len };
+            let new = e.insert(&v).unwrap();
+            let (bi, _, _) = locate(&e, new);
+            let q = e.buckets().buckets()[bi].indexes.quant.as_ref().unwrap();
+            encoded += usize::from(warm_codebooks.iter().any(|cb| cb == q.codebooks()));
+        }
+        assert!(encoded >= 5, "only {encoded} probes encoded without training");
         assert!(
             e.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()),
             "warm quantized engine must keep codebooks through edits"
         );
+        check_indexes_match_fresh_builds(&e);
         let mut buf = Vec::new();
         e.write_to(&mut buf).unwrap();
         assert_eq!(&buf[..8], b"LEMPDYN2");
         let mut loaded = DynamicLemp::read_from(&buf[..]).unwrap();
         check_invariants(&loaded);
         assert_eq!(loaded.config().quantize_bits, 8);
+        // The per-probe bounds are recomputed on load, equal to the ones
+        // the edits maintained.
         for (a, b) in loaded.buckets().buckets().iter().zip(e.buckets().buckets()) {
             assert_eq!(a.indexes.quant, b.indexes.quant, "quant state must round-trip");
         }

@@ -15,6 +15,12 @@
 //!
 //! Scan ranges for a feasible region `[L_f, U_f]` are located by binary
 //! search on the descending value arrays.
+//!
+//! Dynamic edits splice one bucket row in or out of both layouts in O(r·n)
+//! instead of re-sorting. The spliced lists equal a fresh `build` over the
+//! edited directions: shifting the local ids at or above the edit position
+//! keeps every list ordered by (descending value, ascending id), so the new
+//! entry lands where the build's tie order puts it.
 
 use lemp_linalg::VectorStore;
 
@@ -55,6 +61,34 @@ impl ColumnIndex {
     pub fn lids(&self, f: usize, range: (usize, usize)) -> &[u32] {
         &self.lids[f][range.0..range.1]
     }
+
+    /// Splices in the direction `dir` that the bucket inserted at local
+    /// position `pos` (rows at or after `pos` moved up by one).
+    pub(crate) fn insert(&mut self, pos: usize, dir: &[f64]) {
+        let pos = pos as u32;
+        for ((vals, lids), &v) in self.vals.iter_mut().zip(&mut self.lids).zip(dir) {
+            shift_up(lids.iter_mut(), pos);
+            // Ties on `v` sit in `lo..hi` by ascending id (`==` treats
+            // ±0.0 as one value, as the build's comparator does).
+            let lo = vals.partition_point(|&w| w > v);
+            let hi = vals.partition_point(|&w| w >= v);
+            let at = lo + lids[lo..hi].partition_point(|&l| l < pos);
+            vals.insert(at, v);
+            lids.insert(at, pos);
+        }
+    }
+
+    /// Cuts out the row the bucket removed at local position `pos` (rows
+    /// after it moved down by one).
+    pub(crate) fn remove(&mut self, pos: usize) {
+        let pos = pos as u32;
+        for (vals, lids) in self.vals.iter_mut().zip(&mut self.lids) {
+            let at = lids.iter().position(|&l| l == pos).expect("removed row is indexed");
+            vals.remove(at);
+            lids.remove(at);
+            shift_down(lids.iter_mut(), pos);
+        }
+    }
 }
 
 /// Row-wise sorted-list index (INCR layout).
@@ -94,6 +128,42 @@ impl RowIndex {
     #[inline]
     pub fn entries(&self, f: usize, range: (usize, usize)) -> &[(f64, u32)] {
         &self.entries[f][range.0..range.1]
+    }
+
+    /// Splices in the direction `dir` that the bucket inserted at local
+    /// position `pos` (see [`ColumnIndex::insert`]).
+    pub(crate) fn insert(&mut self, pos: usize, dir: &[f64]) {
+        let pos = pos as u32;
+        for (list, &v) in self.entries.iter_mut().zip(dir) {
+            shift_up(list.iter_mut().map(|e| &mut e.1), pos);
+            let at = list.partition_point(|&(w, l)| w > v || (w == v && l < pos));
+            list.insert(at, (v, pos));
+        }
+    }
+
+    /// Cuts out the row the bucket removed at local position `pos` (see
+    /// [`ColumnIndex::remove`]).
+    pub(crate) fn remove(&mut self, pos: usize) {
+        let pos = pos as u32;
+        for list in &mut self.entries {
+            let at = list.iter().position(|e| e.1 == pos).expect("removed row is indexed");
+            list.remove(at);
+            shift_down(list.iter_mut().map(|e| &mut e.1), pos);
+        }
+    }
+}
+
+/// Renumbers local ids for a row inserted at `pos`.
+fn shift_up<'a>(lids: impl Iterator<Item = &'a mut u32>, pos: u32) {
+    for l in lids {
+        *l += u32::from(*l >= pos);
+    }
+}
+
+/// Renumbers local ids for the row removed at `pos`.
+fn shift_down<'a>(lids: impl Iterator<Item = &'a mut u32>, pos: u32) {
+    for l in lids {
+        *l -= u32::from(*l > pos);
     }
 }
 
@@ -215,5 +285,36 @@ mod tests {
         let store = VectorStore::from_rows(&[vec![0.5], vec![0.5], vec![0.5]]).unwrap();
         let idx = ColumnIndex::build(&store);
         assert_eq!(idx.lids(0, (0, 3)), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn spliced_edits_equal_a_fresh_build() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Values from a tiny pool, so ties (and ±0.0) fill every list.
+        let pool = [0.5, -0.5, 0.0, -0.0, 0.25, 1.0];
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut store = VectorStore::empty(3).unwrap();
+        let mut col = ColumnIndex::build(&store);
+        let mut row = RowIndex::build(&store);
+        for step in 0..300 {
+            if store.len() < 2 || rng.random_range(0..3) > 0 {
+                // Covers the front (0) and the back (len) of the bucket.
+                let pos = rng.random_range(0..=store.len());
+                let dir: Vec<f64> = (0..3).map(|_| pool[rng.random_range(0..pool.len())]).collect();
+                store.insert_row(pos, &dir).unwrap();
+                col.insert(pos, &dir);
+                row.insert(pos, &dir);
+            } else {
+                let pos = rng.random_range(0..store.len());
+                store.remove_row(pos);
+                col.remove(pos);
+                row.remove(pos);
+            }
+            // Debug output tells -0.0 from 0.0, so this is bit equality.
+            let (fresh_col, fresh_row) = (ColumnIndex::build(&store), RowIndex::build(&store));
+            assert_eq!(format!("{col:?}"), format!("{fresh_col:?}"), "step {step}");
+            assert_eq!(format!("{row:?}"), format!("{fresh_row:?}"), "step {step}");
+        }
     }
 }

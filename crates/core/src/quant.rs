@@ -14,18 +14,26 @@
 //!
 //! # Exactness contract
 //!
-//! The representation keeps a per-bucket **distortion bound**
-//! `eps = max_i ‖d̄_i − recon_i‖` (the worst reconstruction error over the
-//! bucket). With a unit query direction `q̄`, Cauchy–Schwarz gives
-//! `|q̄·d̄_i − q̄·recon_i| ≤ eps`, so `approx_i + eps` upper-bounds the true
-//! cosine. The bucket scan (`run`) folds this bound into the per-probe θ/k-floor
-//! test: a probe is a candidate iff `len_i·(approx_i + eps)` clears the
-//! threshold, and every candidate is re-verified against the
-//! full-precision vectors by the shared verification step — Above-θ and
-//! Row-Top-k answers stay **bit-identical** to the exact engine. The
-//! *approximate* mode (scoring by `len_i·approx_i` without verification,
-//! used by the `crates/approx` recall harness) trades that guarantee for
-//! speed.
+//! The representation keeps a **per-probe distortion bound**
+//! `errs[i] = ‖d̄_i − recon_i‖` beside the codes. With a unit query
+//! direction `q̄`, Cauchy–Schwarz gives `|q̄·d̄_i − q̄·recon_i| ≤ errs[i]`, so
+//! `approx_i + errs[i]` upper-bounds the true cosine. The bucket scan
+//! (`run`) folds this bound into the per-probe θ/k-floor test: a probe is a
+//! candidate iff `len_i·(approx_i + errs[i])` clears the threshold, and
+//! every candidate is re-verified against the full-precision vectors by the
+//! shared verification step — Above-θ and Row-Top-k answers stay
+//! **bit-identical** to the exact engine. The bucket maximum
+//! `eps = max_i errs[i]` only ends the scan early.
+//!
+//! The bound is per probe because dynamic edits encode new directions
+//! against codebooks trained before they arrived (no retraining; see
+//! [`crate::dynamic`]): such a probe may sit far from every
+//! centroid, and its large error loosens only its own test, not the whole
+//! bucket's. `errs` is derived state — [`QuantizedBucket::from_parts`]
+//! recomputes it from the directions and codes, and images never store
+//! it. The *approximate* mode (scoring by `len_i·approx_i` without
+//! verification, used by the `crates/approx` recall harness) trades the
+//! exactness guarantee for speed.
 
 use lemp_linalg::{kernels, VectorStore};
 
@@ -84,10 +92,33 @@ impl QuantCodes {
             QuantCodes::U16(v) => v.len() * 2,
         }
     }
+
+    /// Splices a probe with per-subspace `code` in at position `pos` of
+    /// each of the subspace rows of `n` probes. Rows go back to front, so
+    /// every row still starts at its pre-edit offset when it is edited.
+    fn insert(&mut self, n: usize, pos: usize, code: &[u16]) {
+        for (s, &c) in code.iter().enumerate().rev() {
+            match self {
+                QuantCodes::U8(v) => v.insert(s * n + pos, c as u8),
+                QuantCodes::U16(v) => v.insert(s * n + pos, c),
+            }
+        }
+    }
+
+    /// Cuts probe `pos` out of each of the subspace rows of `n` probes
+    /// (back to front, as [`Self::insert`]).
+    fn remove(&mut self, n: usize, pos: usize) {
+        for s in (0..self.len() / n).rev() {
+            match self {
+                QuantCodes::U8(v) => drop(v.remove(s * n + pos)),
+                QuantCodes::U16(v) => drop(v.remove(s * n + pos)),
+            }
+        }
+    }
 }
 
 /// The quantized representation of one bucket: per-subspace codebooks plus
-/// packed per-probe codes and the distortion bound `eps` (see the module
+/// packed per-probe codes and per-probe distortion bounds (see the module
 /// docs for the exactness contract).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedBucket {
@@ -101,6 +132,9 @@ pub struct QuantizedBucket {
     /// last subspace's trailing coordinates are zero-padded.
     codebooks: Vec<f64>,
     codes: QuantCodes,
+    /// `errs[i] = ‖d̄_i − recon_i‖`, in probe order.
+    errs: Vec<f64>,
+    /// `max_i errs[i]` (0 when empty).
     eps: f64,
 }
 
@@ -179,19 +213,19 @@ impl QuantizedBucket {
                 total_sq[i] += best_d;
             }
         }
-        let eps = total_sq.iter().fold(0.0f64, |acc, &e| acc.max(e)).sqrt();
+        let errs: Vec<f64> = total_sq.iter().map(|e| e.sqrt()).collect();
         let codes = if bits <= 8 {
             QuantCodes::U8(codes_wide.iter().map(|&c| c as u8).collect())
         } else {
             QuantCodes::U16(codes_wide)
         };
-        Some(Self { bits, sub_dim, m, k, n, dim, codebooks, codes, eps })
+        Some(Self { bits, sub_dim, m, k, n, dim, codebooks, codes, eps: max_of(&errs), errs })
     }
 
     /// Reassembles a quantized bucket from persisted parts, validating
     /// every shape and code value against the bucket's full-precision
-    /// directions. The distortion bound is **recomputed** from `dirs` —
-    /// never trusted from the image — so a tampered `eps` can't silently
+    /// directions. The per-probe distortion bounds are **recomputed** from
+    /// `dirs` — images never carry them — so no stored value can silently
     /// break the exactness contract.
     pub fn from_parts(
         bits: u8,
@@ -238,25 +272,64 @@ impl QuantizedBucket {
                 return Err(format!("quantized section: code {} ≥ k {k}", codes.get(idx)));
             }
         }
-        let mut q = Self { bits, sub_dim, m, k, n, dim, codebooks, codes, eps: 0.0 };
-        q.eps = q.recompute_eps(dirs);
+        let mut q =
+            Self { bits, sub_dim, m, k, n, dim, codebooks, codes, errs: Vec::new(), eps: 0.0 };
+        q.errs = (0..n).map(|i| q.recon_err(i, dirs.vector(i))).collect();
+        q.eps = max_of(&q.errs);
         Ok(q)
     }
 
-    fn recompute_eps(&self, dirs: &VectorStore) -> f64 {
-        let mut worst = 0.0f64;
-        for i in 0..self.n {
-            let mut e = 0.0;
-            for s in 0..self.m {
-                let lo = s * self.sub_dim;
-                let w = (self.dim - lo).min(self.sub_dim);
-                let c = self.codes.get(s * self.n + i);
-                let cb = &self.codebooks[(s * self.k + c) * self.sub_dim..];
-                e += kernels::dist_sq(&dirs.vector(i)[lo..lo + w], &cb[..w]);
-            }
-            worst = worst.max(e);
+    /// `‖dir − recon_i‖` for the direction `dir` of probe `i`.
+    fn recon_err(&self, i: usize, dir: &[f64]) -> f64 {
+        let mut e = 0.0;
+        for s in 0..self.m {
+            let lo = s * self.sub_dim;
+            let w = (self.dim - lo).min(self.sub_dim);
+            let c = self.codes.get(s * self.n + i);
+            let cb = &self.codebooks[(s * self.k + c) * self.sub_dim..];
+            e += kernels::dist_sq(&dir[lo..lo + w], &cb[..w]);
         }
-        worst.sqrt()
+        e.sqrt()
+    }
+
+    /// Encodes a direction inserted at probe position `pos` against the
+    /// trained codebooks — one nearest-centroid search per subspace, no
+    /// training — and records its own distortion bound. Equals
+    /// [`Self::from_parts`] over the edited directions and codes.
+    ///
+    /// # Panics
+    /// If `pos > len()` or `dir` has the wrong dimensionality.
+    pub(crate) fn insert(&mut self, pos: usize, dir: &[f64]) {
+        assert!(pos <= self.n && dir.len() == self.dim, "insert out of shape");
+        let mut code = Vec::with_capacity(self.m);
+        let mut err_sq = 0.0;
+        for s in 0..self.m {
+            let lo = s * self.sub_dim;
+            let w = (self.dim - lo).min(self.sub_dim);
+            let cb = &self.codebooks[s * self.k * self.sub_dim..(s + 1) * self.k * self.sub_dim];
+            let (best, best_d) = nearest(&dir[lo..lo + w], cb, self.k, self.sub_dim, w);
+            code.push(best as u16);
+            err_sq += best_d;
+        }
+        self.codes.insert(self.n, pos, &code);
+        self.n += 1;
+        let err = err_sq.sqrt();
+        self.errs.insert(pos, err);
+        self.eps = self.eps.max(err);
+    }
+
+    /// Cuts probe `pos` out of the codes and bounds.
+    ///
+    /// # Panics
+    /// If `pos ≥ len()`, or if fewer probes than centroids would remain
+    /// ([`Self::from_parts`] rejects that shape; retrain instead).
+    pub(crate) fn remove(&mut self, pos: usize) {
+        assert!(pos < self.n, "remove position {pos} out of bounds (len {})", self.n);
+        assert!(self.k < self.n, "removal would leave fewer probes than the {} centroids", self.k);
+        self.codes.remove(self.n, pos);
+        self.n -= 1;
+        self.errs.remove(pos);
+        self.eps = max_of(&self.errs);
     }
 
     /// Code width in bits.
@@ -289,9 +362,14 @@ impl QuantizedBucket {
         self.n == 0
     }
 
-    /// The distortion bound `max_i ‖d̄_i − recon_i‖`.
+    /// The bucket's worst distortion bound `max_i ‖d̄_i − recon_i‖`.
     pub fn eps(&self) -> f64 {
         self.eps
+    }
+
+    /// The per-probe distortion bounds `‖d̄_i − recon_i‖`, in probe order.
+    pub(crate) fn errs(&self) -> &[f64] {
+        &self.errs
     }
 
     /// The raw codebooks (`m · k` centroids of [`Self::sub_dim`] doubles,
@@ -305,9 +383,10 @@ impl QuantizedBucket {
         &self.codes
     }
 
-    /// Resident bytes of the quantized representation (codebooks + codes).
+    /// Resident bytes of the quantized representation (codebooks, codes
+    /// and the 8-byte per-probe bounds).
     pub fn resident_bytes(&self) -> usize {
-        self.codebooks.len() * 8 + self.codes.bytes()
+        self.codebooks.len() * 8 + self.codes.bytes() + self.errs.len() * 8
     }
 
     /// Builds the query-specific lookup table:
@@ -354,9 +433,31 @@ impl QuantizedBucket {
     }
 }
 
+fn max_of(errs: &[f64]) -> f64 {
+    errs.iter().fold(0.0f64, |acc, &e| acc.max(e))
+}
+
+/// The centroid of `cb` nearest to `point` and its squared distance.
 fn nearest(point: &[f64], cb: &[f64], k: usize, sub_dim: usize, w: usize) -> (usize, f64) {
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
+    if w == 4 && sub_dim == 4 {
+        // The hot shape, spelled out: the same `(s0 + s1) + (s2 + s3)`
+        // sum as `kernels::dist_sq`, so distances (and the bounds
+        // `from_parts` recomputes through the kernel) are bit-identical,
+        // but the Lloyd loop's speed doesn't hinge on the compiler
+        // inlining the dispatched kernel into it.
+        let (p0, p1, p2, p3) = (point[0], point[1], point[2], point[3]);
+        for (c, cent) in cb[..k * 4].chunks_exact(4).enumerate() {
+            let (d0, d1, d2, d3) = (p0 - cent[0], p1 - cent[1], p2 - cent[2], p3 - cent[3]);
+            let d = (d0 * d0 + d1 * d1) + (d2 * d2 + d3 * d3);
+            if d < best_d {
+                best_d = d;
+                best = c;
+            }
+        }
+        return (best, best_d);
+    }
     for c in 0..k {
         let d = kernels::dist_sq(point, &cb[c * sub_dim..c * sub_dim + w]);
         if d < best_d {
@@ -370,7 +471,7 @@ fn nearest(point: &[f64], cb: &[f64], k: usize, sub_dim: usize, w: usize) -> (us
 /// The QUANT bucket scan: build the query's LUT, score every probe by
 /// table lookups, and emit as *unverified* candidates exactly the probes
 /// whose distortion-lifted score can still clear the per-probe threshold
-/// (`len_i·(approx_i + eps) ≥ θ/‖q‖`, with LENGTH's downward boundary
+/// (`len_i·(approx_i + errs[i]) ≥ θ/‖q‖`, with LENGTH's downward boundary
 /// slack). The shared verification step re-checks every candidate against
 /// the full-precision vectors, so answers stay exact.
 pub(crate) fn run(
@@ -384,15 +485,15 @@ pub(crate) fn run(
     quant.fill_lut(ctx.dir, lut);
     quant.scores(lut, scores);
     let cut = ctx.theta_over_len - 1e-12 * ctx.theta_over_len.abs();
-    let eps = quant.eps();
-    // `approx + eps ≥ cos` and `approx ≤ ‖recon‖ ≤ 1 + eps`, so once
-    // `len·(1 + 2eps) < cut` no shorter probe can qualify either.
-    let lift = 1.0 + 2.0 * eps;
+    // `approx_i ≤ ‖recon_i‖ ≤ 1 + errs[i]`, so `approx_i + errs[i] ≤
+    // 1 + 2·eps`: once `len·(1 + 2eps) < cut` no shorter probe qualifies.
+    let lift = 1.0 + 2.0 * quant.eps();
+    let errs = quant.errs();
     for (lid, &len) in bucket.lengths.iter().enumerate() {
         if len * lift < cut {
             break;
         }
-        if len * (scores[lid] + eps) >= cut {
+        if len * (scores[lid] + errs[lid]) >= cut {
             sink.unverified.push(lid as u32);
         }
     }
@@ -435,6 +536,83 @@ mod tests {
             }
             assert!(e.sqrt() <= q.eps() + 1e-12, "probe {i}: {} > {}", e.sqrt(), q.eps());
         }
+    }
+
+    /// Directions of a different distribution than `dirs`: sparse and
+    /// non-negative, plus signed unit axes.
+    fn foreign_dirs(n: usize, dim: usize, seed: u64) -> VectorStore {
+        let (_, mut d) = GeneratorConfig::sparse(n, dim, 1.0, 0.3).generate(seed).decompose();
+        for f in 0..dim {
+            let mut axis = vec![0.0; dim];
+            axis[f] = if f % 2 == 0 { 1.0 } else { -1.0 };
+            d.push(&axis).unwrap();
+        }
+        d
+    }
+
+    #[test]
+    fn per_probe_bounds_hold_for_directions_encoded_after_training() {
+        let trained = dirs(200, 10, 61);
+        let mut q = QuantizedBucket::train(&trained, 6, 1).unwrap();
+        let warm_eps = q.eps();
+        let mut all = trained.clone();
+        let fresh = foreign_dirs(50, 10, 62);
+        for (j, d) in fresh.iter().enumerate() {
+            let pos = (j * 37) % (all.len() + 1);
+            q.insert(pos, d);
+            all.insert_row(pos, d).unwrap();
+        }
+        assert_eq!(q.len(), all.len());
+        assert!(q.eps() > warm_eps, "foreign directions should fit the codebooks worse");
+        // Cauchy–Schwarz per probe, for unit queries from both distributions.
+        let (mut lut, mut scores) = (Vec::new(), Vec::new());
+        for queries in [dirs(20, 10, 63), foreign_dirs(20, 10, 64)] {
+            for query in queries.iter() {
+                q.fill_lut(query, &mut lut);
+                q.scores(&lut, &mut scores);
+                for (i, &score) in scores.iter().enumerate() {
+                    let truth = kernels::dot(query, all.vector(i));
+                    assert!((truth - score).abs() <= q.errs()[i] + 1e-12, "probe {i}");
+                }
+            }
+        }
+        // The edited state is exactly what an image of it reloads to.
+        let re = QuantizedBucket::from_parts(
+            q.bits(),
+            q.sub_dim(),
+            q.k(),
+            q.codebooks().to_vec(),
+            q.codes().clone(),
+            &all,
+        )
+        .unwrap();
+        assert_eq!(q, re);
+        // Removals too, down to one probe per centroid.
+        let mut rng = 7u64;
+        while q.len() > q.k() {
+            let pos = splitmix(&mut rng) as usize % q.len();
+            q.remove(pos);
+            all.remove_row(pos);
+        }
+        let re = QuantizedBucket::from_parts(
+            q.bits(),
+            q.sub_dim(),
+            q.k(),
+            q.codebooks().to_vec(),
+            q.codes().clone(),
+            &all,
+        )
+        .unwrap();
+        assert_eq!(q, re);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer probes than")]
+    fn removal_below_the_centroid_count_is_refused() {
+        let d = dirs(8, 4, 65);
+        let mut q = QuantizedBucket::train(&d, 3, 1).unwrap();
+        assert_eq!(q.k(), 8);
+        q.remove(0);
     }
 
     #[test]

@@ -1684,7 +1684,7 @@ mod tests {
         let usage = engine.memory_usage();
         assert_eq!(usage.len(), 3);
         assert!(usage.iter().all(|u| u.full_bytes > 0 && u.quantized_bytes > 0));
-        // Routed edits re-encode the touched bucket.
+        // Routed edits encode into the touched bucket's codebooks.
         engine.insert(&[2.0; 8]).unwrap();
         assert!(engine.remove(7));
         let mut scratch = engine.make_scratch();

@@ -22,6 +22,8 @@ use lemp_core::{
 use lemp_core::{BucketPolicy, RunConfig};
 use lemp_data::synthetic::GeneratorConfig;
 use lemp_linalg::VectorStore;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const DIM: usize = 8;
 const K: usize = 4;
@@ -246,31 +248,168 @@ fn quantized_engines_answer_bit_identically_for_every_kind_and_backend() {
         ("ShardedLemp+quant", Box::new(quant_sharded)),
     ];
     for (name, boxed) in backends {
-        let engine: &dyn Engine = boxed.as_ref();
-        let mut scratch = engine.query_scratch();
-        for kind in kinds(floor) {
-            for (opt_name, options) in option_sets() {
-                let request = QueryRequest { kind, options };
-                let plan = engine.plan(&request);
-                let response = engine.execute(&plan, &q, &mut scratch);
-                let label = format!("{name} / {} / {opt_name}", kind.name());
-                match (&response.rows, &kind) {
-                    (QueryRows::Entries(entries), QueryKind::AboveTheta { .. }) => {
-                        assert_eq!(canon(entries), exact_single.above, "{label}");
-                    }
-                    (QueryRows::Entries(entries), QueryKind::AbsAboveTheta { .. }) => {
-                        assert_eq!(canon(entries), exact_single.abs, "{label}");
-                    }
-                    (QueryRows::Lists(lists), QueryKind::TopK { .. }) => {
-                        assert!(topk_equivalent(lists, &exact_single.topk, 0.0), "{label}");
-                    }
-                    (QueryRows::Lists(lists), QueryKind::TopKWithFloor { .. }) => {
-                        assert!(topk_equivalent(lists, &exact_single.floored, 0.0), "{label}");
-                    }
-                    _ => panic!("{label}: response shape does not match the kind"),
+        assert_every_answer_matches(name, boxed.as_ref(), &q, floor, &exact_single);
+    }
+}
+
+/// Asserts that every [`QueryKind`] × [`ExecOptions`] answer of `engine`
+/// is bit-identical to `expect`.
+fn assert_every_answer_matches(
+    name: &str,
+    engine: &dyn Engine,
+    q: &VectorStore,
+    floor: f64,
+    expect: &Classic,
+) {
+    let mut scratch = engine.query_scratch();
+    for kind in kinds(floor) {
+        for (opt_name, options) in option_sets() {
+            let request = QueryRequest { kind, options };
+            let plan = engine.plan(&request);
+            let response = engine.execute(&plan, q, &mut scratch);
+            let label = format!("{name} / {} / {opt_name}", kind.name());
+            match (&response.rows, &kind) {
+                (QueryRows::Entries(entries), QueryKind::AboveTheta { .. }) => {
+                    assert_eq!(canon(entries), expect.above, "{label}");
                 }
+                (QueryRows::Entries(entries), QueryKind::AbsAboveTheta { .. }) => {
+                    assert_eq!(canon(entries), expect.abs, "{label}");
+                }
+                (QueryRows::Lists(lists), QueryKind::TopK { .. }) => {
+                    assert!(topk_equivalent(lists, &expect.topk, 0.0), "{label}");
+                }
+                (QueryRows::Lists(lists), QueryKind::TopKWithFloor { .. }) => {
+                    assert!(topk_equivalent(lists, &expect.floored, 0.0), "{label}");
+                }
+                _ => panic!("{label}: response shape does not match the kind"),
             }
         }
+    }
+}
+
+/// One step of a churn script.
+enum Edit {
+    Insert(Vec<f64>),
+    Remove(u32),
+}
+
+/// A seeded insert/remove script over the ids of `p` (inserts take ids
+/// from `p.len()` on). Inserted vectors lie far outside the Gaussian
+/// fixture the codebooks trained on — signed axes, sparse non-negative
+/// rows, 40× longer copies — or carry exact ties (duplicates, constant
+/// rows) and ±0.0 coordinates. Most are long enough to enter the answers,
+/// so a bound that is too tight for them shows as a missing result.
+fn churn_script(p: &VectorStore, seed: u64) -> Vec<Edit> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sparse = GeneratorConfig::sparse(60, DIM, 1.0, 0.3).generate(seed);
+    let mut live: Vec<u32> = (0..p.len() as u32).collect();
+    let mut next = p.len() as u32;
+    let mut script = Vec::new();
+    for step in 0..180 {
+        if step % 3 == 2 {
+            let id = live.swap_remove(rng.random_range(0..live.len()));
+            script.push(Edit::Remove(id));
+            continue;
+        }
+        let base = p.vector(rng.random_range(0..p.len()));
+        let sign = if rng.random_range(0..2) == 0 { 1.0 } else { -1.0 };
+        let scale = rng.random_range(1.0..4.0);
+        let v: Vec<f64> = match rng.random_range(0..6) {
+            0 => {
+                let mut axis = vec![0.0; DIM];
+                axis[rng.random_range(0..DIM)] = sign * scale;
+                axis
+            }
+            1 => {
+                sparse.vector(rng.random_range(0..sparse.len())).iter().map(|x| scale * x).collect()
+            }
+            2 => base.iter().map(|x| 40.0 * x).collect(),
+            3 => base.to_vec(),
+            4 => vec![sign * 0.3 * scale; DIM],
+            _ => base
+                .iter()
+                .enumerate()
+                .map(|(f, &x)| match f % 3 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => scale * x,
+                })
+                .collect(),
+        };
+        script.push(Edit::Insert(v));
+        live.push(next);
+        next += 1;
+    }
+    script
+}
+
+/// Applies a churn script through an engine's `insert`/`remove`. Both
+/// backends allocate ids sequentially, so every engine given the same
+/// script holds the same stable ids.
+macro_rules! apply {
+    ($script:expr, $engine:expr) => {
+        for edit in $script {
+            match edit {
+                Edit::Insert(v) => drop($engine.insert(v).unwrap()),
+                Edit::Remove(id) => assert!($engine.remove(*id), "remove {id}"),
+            }
+        }
+    };
+}
+
+#[test]
+fn quantized_engines_stay_bit_identical_through_churn() {
+    // Warm trains the codebooks on the Gaussian fixture; the churn then
+    // encodes far-off, tied and ±0.0 directions into them without
+    // retraining (except where an edit opens, splits or drains a bucket).
+    // The per-probe distortion bounds must keep every answer exact. QUANT
+    // is forced so every reachable bucket scans through the codes.
+    let (q, p) = fixture();
+    let script = churn_script(&p, 77);
+
+    let config =
+        RunConfig { sample_size: 8, quantize_bits: 8, quantize_force: true, ..Default::default() };
+    let mut quant_dynamic = DynamicLemp::new(&p, BucketPolicy::default(), config);
+    quant_dynamic.warm(&q, WarmGoal::TopK(K));
+    apply!(&script, quant_dynamic);
+
+    let mut quant_sharded = ShardedLemp::builder()
+        .shards(3)
+        .policy(ShardPolicy::LengthBanded)
+        .sample_size(8)
+        .quantize(8)
+        .quantize_force(true)
+        .build(&p);
+    quant_sharded.warm(&q, WarmGoal::TopK(K));
+    apply!(&script, quant_sharded);
+
+    // The exact reference: an unquantized engine over the same live probes
+    // (same script, so the same stable ids), itself checked against Naive.
+    let config = RunConfig { sample_size: 8, ..Default::default() };
+    let mut exact = DynamicLemp::new(&p, BucketPolicy::default(), config);
+    apply!(&script, exact);
+    exact.warm(&q, WarmGoal::TopK(K));
+    let (ids, live) = exact.live_vectors();
+    let floor = biting_floor(&q, &live);
+    let expect = classic_for_dynamic(&exact, &q, floor);
+    let (naive_above, _) = Naive.above_theta(&q, &live, THETA);
+    let naive: Vec<(u32, u32, u64)> = canon(
+        &naive_above
+            .iter()
+            .map(|e| Entry { probe: ids[e.probe as usize], ..*e })
+            .collect::<Vec<_>>(),
+    );
+    assert!(!naive.is_empty(), "fixture must produce entries");
+    assert_eq!(expect.above, naive, "exact reference diverges from Naive");
+
+    for (name, engine) in [
+        ("DynamicLemp+quant", &quant_dynamic as &dyn Engine),
+        ("ShardedLemp+quant", &quant_sharded),
+    ] {
+        let mut scratch = engine.query_scratch();
+        let response = engine.run(&QueryRequest::top_k(K), &q, &mut scratch);
+        assert!(response.stats.method_mix.quant > 0, "{name}: QUANT never ran");
+        assert_every_answer_matches(name, engine, &q, floor, &expect);
     }
 }
 

@@ -35,7 +35,9 @@
 //! observe the placement distribution. Errors come back as
 //! `{"error": "message"}` with a 4xx/5xx status. When the accept queue is
 //! full the server answers `503 {"error": "overloaded"}` immediately —
-//! load shedding, never head-of-line blocking.
+//! load shedding, never head-of-line blocking. A shed thread writes the
+//! answer and drains the unread request before closing, so the close
+//! can't reset the connection under the client's read.
 //!
 //! # Durable mode
 //!
@@ -128,8 +130,8 @@ mod replication;
 pub mod stats;
 
 use std::collections::VecDeque;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -477,6 +479,9 @@ struct Shared {
     /// Server start time (`uptime_seconds` in `/stats` and `/metrics`).
     start: Instant,
     queue: ConnQueue,
+    /// Shed connections awaiting their `503` from the shed thread
+    /// ([`shed_loop`]).
+    shed_queue: ConnQueue,
     cfg: ServeConfig,
     shutdown: AtomicBool,
     /// Bumped (under the engine write lock) by every applied probe edit;
@@ -500,7 +505,30 @@ struct ShapeCache {
     memory: Vec<lemp_core::MemoryUsage>,
 }
 
+/// Shed connections the shed thread may hold; past it, connections are
+/// answered on the spot without draining.
+const SHED_BACKLOG: usize = 64;
+/// How long the shed thread keeps draining one connection after its `503`.
+const SHED_LINGER: Duration = Duration::from_millis(500);
+/// How many unread request bytes the shed thread drains per connection.
+const SHED_DRAIN_BYTES: usize = 64 << 10;
+
+fn overloaded_body() -> String {
+    obj(vec![("error", Json::Str("overloaded".into()))]).render()
+}
+
 impl Shared {
+    /// Sheds an overflow connection with `503 {"error": "overloaded"}`,
+    /// handing it to the shed thread; when that thread is backed up too,
+    /// answers here without draining. Never blocks.
+    fn shed(&self, stream: TcpStream) {
+        ServerStats::bump(&self.stats.shed);
+        if let Err(mut stream) = self.shed_queue.try_push(stream) {
+            let _ = stream.set_nonblocking(true);
+            let _ = http::write_response(&mut stream, 503, &overloaded_body());
+        }
+    }
+
     fn read_engine(&self) -> std::sync::RwLockReadGuard<'_, ServeEngine> {
         self.engine.read().unwrap_or_else(|e| e.into_inner())
     }
@@ -546,6 +574,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
+    shedder: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
     repl_threads: Vec<JoinHandle<()>>,
 }
@@ -578,6 +607,7 @@ impl Server {
             metrics: metrics::Metrics::default(),
             start: Instant::now(),
             queue: ConnQueue::new(cfg.queue_cap.max(1)),
+            shed_queue: ConnQueue::new(SHED_BACKLOG),
             cfg,
             shutdown: AtomicBool::new(false),
             edits: AtomicU64::new(0),
@@ -645,6 +675,11 @@ impl Server {
             })
             .collect();
         let shared = Arc::clone(&self.shared);
+        let shedder = std::thread::Builder::new()
+            .name("lemp-serve-shedder".to_string())
+            .spawn(move || shed_loop(&shared))
+            .expect("spawn shedder");
+        let shared = Arc::clone(&self.shared);
         let listener = self.listener;
         let acceptor = std::thread::Builder::new()
             .name("lemp-serve-acceptor".to_string())
@@ -654,6 +689,7 @@ impl Server {
             addr,
             shared: self.shared,
             acceptor,
+            shedder,
             workers,
             repl_threads: self.repl_threads,
         })
@@ -679,6 +715,7 @@ impl ServerHandle {
     /// only [`ServerHandle::shutdown`] stops them (the CLI's serve loop).
     pub fn join(self) {
         self.acceptor.join().ok();
+        self.shedder.join().ok();
         for w in self.workers {
             w.join().ok();
         }
@@ -701,7 +738,9 @@ impl ServerHandle {
             let _ = TcpStream::connect(addr);
         }
         self.shared.queue.close();
+        self.shared.shed_queue.close();
         self.acceptor.join().ok();
+        self.shedder.join().ok();
         for w in self.workers {
             w.join().ok();
         }
@@ -717,12 +756,44 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        if let Err(mut stream) = shared.queue.try_push(stream) {
+        if let Err(stream) = shared.queue.try_push(stream) {
             // Bounded queue full: shed immediately instead of stalling.
-            ServerStats::bump(&shared.stats.shed);
-            let _ = stream.set_write_timeout(shared.cfg.io_timeout);
-            let body = obj(vec![("error", Json::Str("overloaded".into()))]).render();
-            let _ = http::write_response(&mut stream, 503, &body);
+            shared.shed(stream);
+        }
+    }
+}
+
+/// Answers shed connections: writes the `503`, half-closes, then reads and
+/// discards the client's unread request until the client closes — for at
+/// most [`SHED_LINGER`] and [`SHED_DRAIN_BYTES`]. Closing a socket with
+/// unread input makes the kernel send a reset, which can reach the client
+/// before it reads the `503` and turn the answer into a connection error.
+/// On its own thread, a slow client delays only other sheds (and those
+/// only up to [`SHED_BACKLOG`]), never the acceptor.
+fn shed_loop(shared: &Shared) {
+    let body = overloaded_body();
+    let mut buf = [0u8; 4096];
+    while let Some(mut stream) = shared.shed_queue.pop() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            continue;
+        }
+        let deadline = Instant::now() + SHED_LINGER;
+        let _ = stream.set_write_timeout(Some(SHED_LINGER));
+        if http::write_response(&mut stream, 503, &body).is_err()
+            || stream.shutdown(Shutdown::Write).is_err()
+        {
+            continue;
+        }
+        let mut drained = 0;
+        while drained < SHED_DRAIN_BYTES {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                break;
+            }
+            match stream.read(&mut buf) {
+                Ok(n) if n > 0 => drained += n,
+                _ => break,
+            }
         }
     }
 }
@@ -1046,11 +1117,8 @@ fn handle_query(
                 // No bytes in flight (or peer already gone): requeue and
                 // stop draining. If the queue refilled meanwhile, shed —
                 // exactly what the acceptor would have done.
-                if let Err(mut next) = shared.queue.try_push(next) {
-                    ServerStats::bump(&shared.stats.shed);
-                    let _ = next.set_write_timeout(shared.cfg.io_timeout);
-                    let body = obj(vec![("error", Json::Str("overloaded".into()))]).render();
-                    let _ = http::write_response(&mut next, 503, &body);
+                if let Err(next) = shared.queue.try_push(next) {
+                    shared.shed(next);
                 }
                 break;
             }
