@@ -44,6 +44,36 @@ fn bench_dot_isa(c: &mut Criterion) {
     group.finish();
 }
 
+/// One four-row group through `kernels::dot_rows` (one call of the batched
+/// kernel), scalar vs AVX2; divide by 4 for the per-row cost to set against
+/// `kernels/dot_isa`.
+fn bench_dot_rows(c: &mut Criterion) {
+    let mut isas = vec![simd::Isa::Scalar];
+    if simd::avx2_supported() {
+        isas.push(simd::Isa::Avx2);
+    }
+    let mut group = c.benchmark_group("kernels/dot_rows");
+    for dim in [10usize, 50, 100, 500] {
+        let q: Vec<f64> = (0..dim).map(|i| (i as f64).sin()).collect();
+        let rows: Vec<Vec<f64>> =
+            (0..4).map(|r| (0..dim).map(|i| ((i + 7 * r) as f64).cos()).collect()).collect();
+        for &isa in &isas {
+            let label = format!("{isa:?}/{dim}");
+            group.bench_with_input(BenchmarkId::from_parameter(label), &dim, |bencher, _| {
+                let prev = simd::override_isa(isa);
+                bencher.iter(|| {
+                    let mut sum = 0.0;
+                    let tagged = black_box(&rows).iter().map(|r| ((), r.as_slice()));
+                    kernels::dot_rows(black_box(&q), tagged, |_, v| sum += v);
+                    sum
+                });
+                simd::override_isa(prev);
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_index_build_and_scan(c: &mut Criterion) {
     let dirs = {
         let (_, d) = GeneratorConfig::gaussian(2000, 50, 0.0).generate(1).decompose();
@@ -78,6 +108,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dot, bench_dot_isa, bench_index_build_and_scan
+    targets = bench_dot, bench_dot_isa, bench_dot_rows, bench_index_build_and_scan
 }
 criterion_main!(benches);

@@ -37,12 +37,14 @@
 use std::time::Instant;
 
 use lemp_baselines::types::{Entry, RetrievalCounters};
-use lemp_linalg::{kernels, TopK, VectorStore};
+use lemp_linalg::{TopK, VectorStore};
 
 use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
-use crate::exec::{ensure_for, run_method, verify_above, verify_topk, BuildClock, RunConfig};
+use crate::exec::{
+    ensure_for, run_method, seed_topk, verify_above, verify_topk, BuildClock, RunConfig,
+};
 use crate::query::QueryBatch;
 use crate::runner::{
     emit_zero_bucket, max_bucket_len, theta_over_len, unpruned_prefix, AboveThetaOutput, MethodMix,
@@ -688,21 +690,9 @@ fn adaptive_topk_one(
     mix: &mut MethodMix,
 ) -> Vec<lemp_linalg::ScoredItem> {
     top.clear();
-    let mut need = k;
     seed_counts.clear();
     seed_counts.resize(buckets.len(), 0);
-    'seed: for (b, bucket) in buckets.iter().enumerate() {
-        for lid in 0..bucket.len() {
-            if need == 0 {
-                break 'seed;
-            }
-            let v = kernels::dot(dir, bucket.origs.vector(lid));
-            counters.candidates += 1;
-            top.push(bucket.ids[lid] as usize, v);
-            seed_counts[b] += 1;
-            need -= 1;
-        }
-    }
+    counters.candidates += seed_topk(buckets, dir, k, top, |b, n| seed_counts[b] = n);
     let mut theta = top.threshold();
     for (b, bucket) in buckets.iter().enumerate() {
         if local_threshold(theta, 1.0, bucket.max_len) > 1.0 + 1e-12 {

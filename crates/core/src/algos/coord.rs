@@ -38,7 +38,10 @@ pub fn run(
         let (lo, hi) = feasible_region(ctx.dir[f], ctx.local_threshold);
         scratch.ranges.push(index.scan_range(f, lo, hi));
     }
-    let order: &mut Vec<usize> = &mut (0..scratch.focus.len()).collect();
+    let order = &mut scratch.order;
+    order.clear();
+    order.extend(0..scratch.focus.len());
+    // Stable: ranges of equal length keep their focus order.
     order.sort_by_key(|&i| scratch.ranges[i].1 - scratch.ranges[i].0);
     // An empty range on any coordinate empties the candidate set.
     if scratch.ranges[order[0]].0 == scratch.ranges[order[0]].1 {

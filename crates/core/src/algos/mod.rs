@@ -80,6 +80,9 @@ pub struct MethodScratch {
     pub focus: Vec<usize>,
     /// Scan ranges aligned with `focus`.
     pub ranges: Vec<(usize, usize)>,
+    /// COORD's visiting order over `focus`: indices by increasing range
+    /// length.
+    pub order: Vec<usize>,
     /// Result buffer for adapters that verify internally.
     pub row: Vec<(u32, f64)>,
     /// Query-specific lookup table for the quantized scan (`m·k` entries).
@@ -98,6 +101,7 @@ impl MethodScratch {
             l2ap: L2apScratch::new(n),
             focus: Vec::new(),
             ranges: Vec::new(),
+            order: Vec::new(),
             row: Vec::new(),
             lut: Vec::new(),
             qscores: Vec::new(),

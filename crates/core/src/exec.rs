@@ -185,20 +185,16 @@ pub(crate) fn verify_above(
     entries: &mut Vec<Entry>,
 ) -> (u64, u64) {
     let mut results = 0u64;
-    for &lid in &sink.unverified {
-        let l = lid as usize;
-        // Original-scale operands: bit-identical to a naive scan.
-        let value = kernels::dot(ctx.scaled, bucket.origs.vector(l));
-        if value >= ctx.theta {
-            entries.push(Entry { query: query_id, probe: bucket.ids[l], value });
-            results += 1;
-        }
-    }
-    for &(lid, value) in &sink.verified {
+    let mut keep = |lid: u32, value: f64| {
         if value >= ctx.theta {
             entries.push(Entry { query: query_id, probe: bucket.ids[lid as usize], value });
             results += 1;
         }
+    };
+    // Original-scale operands: bit-identical to a naive scan.
+    kernels::dot_rows(ctx.scaled, candidate_rows(bucket, &sink.unverified), &mut keep);
+    for &(lid, value) in &sink.verified {
+        keep(lid, value);
     }
     (sink.unverified.len() as u64, results)
 }
@@ -215,15 +211,11 @@ pub(crate) fn verify_topk(
     top: &mut TopK,
 ) -> u64 {
     let mut dots = 0u64;
-    for &lid in &sink.unverified {
-        let l = lid as usize;
-        if l < skip_below {
-            continue;
-        }
-        let value = kernels::dot(ctx.dir, bucket.origs.vector(l));
+    let unseeded = sink.unverified.iter().filter(|&&lid| lid as usize >= skip_below);
+    kernels::dot_rows(ctx.dir, candidate_rows(bucket, unseeded), |lid, value| {
         dots += 1;
-        top.push(bucket.ids[l] as usize, value);
-    }
+        top.push(bucket.ids[lid as usize] as usize, value);
+    });
     for &(lid, value) in &sink.verified {
         if (lid as usize) < skip_below {
             continue;
@@ -231,6 +223,43 @@ pub(crate) fn verify_topk(
         top.push(bucket.ids[lid as usize] as usize, value);
     }
     dots
+}
+
+/// The original vectors of the candidates `lids`, tagged with their local
+/// ids, in list order — the rows [`kernels::dot_rows`] verifies.
+pub(crate) fn candidate_rows<'a>(
+    bucket: &'a Bucket,
+    lids: impl IntoIterator<Item = &'a u32>,
+) -> impl Iterator<Item = (u32, &'a [f64])> {
+    lids.into_iter().map(move |&lid| (lid, bucket.origs.vector(lid as usize)))
+}
+
+/// Row-Top-k warm-up (Sec. 4.5): pushes the inner products of `dir` with
+/// the `k` longest probes — the leading rows of the length-sorted buckets,
+/// contiguous in each bucket — into `top`, in bucket order. `seeded(b, n)`
+/// learns that bucket `b`'s first `n` rows were pushed (its verification
+/// skips them). Returns the number of inner products computed.
+pub(crate) fn seed_topk(
+    buckets: &[Bucket],
+    dir: &[f64],
+    k: usize,
+    top: &mut TopK,
+    mut seeded: impl FnMut(usize, usize),
+) -> u64 {
+    let mut need = k;
+    for (b, bucket) in buckets.iter().enumerate() {
+        if need == 0 {
+            break;
+        }
+        let n = need.min(bucket.len());
+        let rows = bucket.origs.iter().take(n).enumerate();
+        kernels::dot_rows(dir, rows, |lid, value| {
+            top.push(bucket.ids[lid] as usize, value);
+        });
+        seeded(b, n);
+        need -= n;
+    }
+    (k - need) as u64
 }
 
 #[cfg(test)]
@@ -323,5 +352,161 @@ mod tests {
         let dots = verify_topk(bucket, &ctx, &sink, 3, &mut top);
         assert_eq!(dots, 7, "first three lids must be skipped");
         assert_eq!(top.len(), 7);
+        // Every candidate count 0..=9 (whole groups of four plus trailing
+        // groups of one to three), lids out of order, `skip_below` at every
+        // position: the survivors are exactly the unseeded lids.
+        let order = [7u32, 2, 9, 0, 5, 3, 8, 1, 6];
+        for count in 0..=order.len() {
+            for skip in 0..=10 {
+                let sink = Sink { unverified: order[..count].to_vec(), verified: vec![] };
+                let mut top = TopK::new(10);
+                let dots = verify_topk(bucket, &ctx, &sink, skip, &mut top);
+                let mut got: Vec<usize> = top.drain_sorted().iter().map(|s| s.id).collect();
+                got.sort_unstable();
+                let mut want: Vec<usize> = order[..count]
+                    .iter()
+                    .filter(|&&lid| lid as usize >= skip)
+                    .map(|&lid| bucket.ids[lid as usize] as usize)
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(dots, want.len() as u64, "count={count} skip={skip}");
+                assert_eq!(got, want, "count={count} skip={skip}");
+            }
+        }
+    }
+
+    /// The retained `(id, score bits)`, best first.
+    fn retained(mut top: TopK) -> Vec<(usize, u64)> {
+        top.drain_sorted().iter().map(|s| (s.id, s.score.to_bits())).collect()
+    }
+
+    /// A 9-d bucket (past the SIMD threshold, with a one-element tail)
+    /// whose probes come in groups of exact duplicates, so many candidates
+    /// tie: every k-th score sits inside a tie group.
+    fn tied_bucket() -> ProbeBuckets {
+        let base = GeneratorConfig::gaussian(4, 9, 0.3).generate(11);
+        let rows: Vec<Vec<f64>> = [0, 1, 0, 2, 1, 0, 3, 2, 0, 1, 3, 0, 2]
+            .iter()
+            .map(|&r| base.vector(r).to_vec())
+            .collect();
+        let store = VectorStore::from_rows(&rows).unwrap();
+        let policy =
+            BucketPolicy { min_bucket: rows.len(), length_ratio: 0.1, ..Default::default() };
+        ProbeBuckets::build(&store, &policy)
+    }
+
+    #[test]
+    fn batched_verification_matches_one_dot_at_a_time_under_ties() {
+        let pb = tied_bucket();
+        let bucket = &pb.buckets()[0];
+        assert_eq!(pb.bucket_count(), 1);
+        let n = bucket.len() as u32;
+        let query = GeneratorConfig::gaussian(1, 9, 0.3).generate(12);
+        let scaled = query.vector(0).to_vec();
+        let len = kernels::norm(&scaled);
+        let dir: Vec<f64> = scaled.iter().map(|x| x / len).collect();
+        let orders: [Vec<u32>; 3] =
+            [(0..n).collect(), (0..n).rev().collect(), (0..n).map(|i| (i * 5) % n).collect()];
+        for unverified in &orders {
+            // A verified pair (as TA/Tree emit) rides behind the dots.
+            let verified = vec![(unverified[0], 0.25)];
+            let sink = Sink { unverified: unverified.clone(), verified };
+            for k in 1..=n as usize {
+                for skip in [0, 2, 5] {
+                    let ctx = QueryCtx {
+                        dir: &dir,
+                        len: 1.0,
+                        theta: f64::NEG_INFINITY,
+                        theta_over_len: f64::NEG_INFINITY,
+                        local_threshold: f64::NEG_INFINITY,
+                        scaled: &dir,
+                    };
+                    let mut top = TopK::new(k);
+                    let dots = verify_topk(bucket, &ctx, &sink, skip, &mut top);
+                    // Reference: one `kernels::dot` per candidate, same order.
+                    let mut want_top = TopK::new(k);
+                    let mut want_dots = 0u64;
+                    for &lid in &sink.unverified {
+                        let l = lid as usize;
+                        if l >= skip {
+                            let v = kernels::dot(&dir, bucket.origs.vector(l));
+                            want_top.push(bucket.ids[l] as usize, v);
+                            want_dots += 1;
+                        }
+                    }
+                    for &(lid, v) in &sink.verified {
+                        if lid as usize >= skip {
+                            want_top.push(bucket.ids[lid as usize] as usize, v);
+                        }
+                    }
+                    assert_eq!(dots, want_dots, "k={k} skip={skip}");
+                    let ctx = format!("k={k} skip={skip} {unverified:?}");
+                    assert_eq!(retained(top), retained(want_top), "{ctx}");
+                }
+            }
+            // Above-θ at every candidate's score as θ: same entries, same
+            // order as one dot at a time.
+            for &cut in &sink.unverified {
+                let theta = kernels::dot(&scaled, bucket.origs.vector(cut as usize));
+                let ctx = QueryCtx {
+                    dir: &dir,
+                    len,
+                    theta,
+                    theta_over_len: theta / len,
+                    local_threshold: theta / (len * bucket.max_len),
+                    scaled: &scaled,
+                };
+                let mut entries = Vec::new();
+                let (dots, results) = verify_above(bucket, &ctx, &sink, 4, &mut entries);
+                let mut want = Vec::new();
+                for &lid in &sink.unverified {
+                    let value = kernels::dot(&scaled, bucket.origs.vector(lid as usize));
+                    want.push((lid, value));
+                }
+                want.extend(sink.verified.iter().copied());
+                let want: Vec<(u32, u64)> = want
+                    .into_iter()
+                    .filter(|&(_, v)| v >= theta)
+                    .map(|(lid, v)| (bucket.ids[lid as usize], v.to_bits()))
+                    .collect();
+                let got: Vec<(u32, u64)> =
+                    entries.iter().map(|e| (e.probe, e.value.to_bits())).collect();
+                assert_eq!(dots, n as u64);
+                assert_eq!(results, want.len() as u64);
+                assert!(entries.iter().all(|e| e.query == 4));
+                assert_eq!(got, want, "theta={theta}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeding_pushes_the_k_longest_probes_across_buckets() {
+        let store = GeneratorConfig::gaussian(200, 9, 0.8).generate(13);
+        let pb = ProbeBuckets::build(&store, &BucketPolicy::default());
+        assert!(pb.bucket_count() > 2);
+        let dir = pb.buckets()[1].dirs.vector(0).to_vec();
+        let first = pb.buckets()[0].len();
+        for k in [0, 1, 3, 4, 5, first, first + 1, first + 6, store.len(), store.len() + 3] {
+            let mut top = TopK::new(k.max(1));
+            let mut counts = vec![0; pb.bucket_count()];
+            let dots = seed_topk(pb.buckets(), &dir, k, &mut top, |b, n| counts[b] = n);
+            // Reference: the leading rows in bucket order, one dot each.
+            let mut want = TopK::new(k.max(1));
+            let mut want_counts = vec![0; pb.bucket_count()];
+            let mut need = k;
+            for (b, bucket) in pb.buckets().iter().enumerate() {
+                for lid in 0..bucket.len().min(need) {
+                    want.push(
+                        bucket.ids[lid] as usize,
+                        kernels::dot(&dir, bucket.origs.vector(lid)),
+                    );
+                    want_counts[b] += 1;
+                }
+                need -= want_counts[b];
+            }
+            assert_eq!(dots, k.min(store.len()) as u64, "k={k}");
+            assert_eq!(counts, want_counts, "k={k}");
+            assert_eq!(retained(top), retained(want), "k={k}");
+        }
     }
 }

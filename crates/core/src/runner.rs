@@ -21,13 +21,15 @@
 use std::time::Instant;
 
 use lemp_baselines::types::{Entry, RetrievalCounters, TopKLists};
-use lemp_linalg::{kernels, TopK, VectorStore};
+use lemp_linalg::{TopK, VectorStore};
 
 use crate::algos::blsh_bucket::MinMatchTable;
 use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
-use crate::exec::{ensure_for, run_method, verify_above, verify_topk, BuildClock, RunConfig};
+use crate::exec::{
+    ensure_for, run_method, seed_topk, verify_above, verify_topk, BuildClock, RunConfig,
+};
 use crate::query::QueryBatch;
 use crate::tuner::{self, TuneGoal, Tuning};
 use crate::variant::{resolve, LempVariant, ResolvedMethod, TunedParams};
@@ -590,19 +592,7 @@ fn topk_one_query(
     seed_counts.clear();
     seed_counts.resize(buckets.len(), 0);
     // Warm-up: the k longest probes seed θ′ (Sec. 4.5).
-    let mut need = k;
-    'seed: for (b, bucket) in buckets.iter().enumerate() {
-        for lid in 0..bucket.len() {
-            if need == 0 {
-                break 'seed;
-            }
-            let v = kernels::dot(dir, bucket.origs.vector(lid));
-            counters.candidates += 1;
-            top.push(bucket.ids[lid] as usize, v);
-            seed_counts[b] += 1;
-            need -= 1;
-        }
-    }
+    counters.candidates += seed_topk(buckets, dir, k, top, |b, n| seed_counts[b] = n);
     let mut theta = top.threshold().max(floor_scaled);
     for (b, bucket) in buckets.iter().enumerate() {
         if local_threshold(theta, 1.0, bucket.max_len) > 1.0 + 1e-12 {

@@ -23,7 +23,7 @@ use crate::algos::blsh_bucket::MinMatchTable;
 use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
-use crate::exec::{ensure_for, run_method, BuildClock, RunConfig};
+use crate::exec::{candidate_rows, ensure_for, run_method, seed_topk, BuildClock, RunConfig};
 use crate::query::QueryBatch;
 use crate::variant::{resolve, LempVariant, ResolvedMethod, TunedParams};
 
@@ -282,10 +282,9 @@ fn time_method(
     sink.clear();
     let start = Instant::now();
     let _ = run_method(method, ctx, bucket, blsh_table, scratch, sink);
+    // Priced as the query loop pays: the verification kernel on `origs`.
     let mut sum = 0.0;
-    for &lid in &sink.unverified {
-        sum += kernels::dot(ctx.dir, bucket.dirs.vector(lid as usize));
-    }
+    kernels::dot_rows(ctx.dir, candidate_rows(bucket, &sink.unverified), |_, v| sum += v);
     std::hint::black_box(sum);
     start.elapsed().as_nanos() as u64
 }
@@ -294,17 +293,7 @@ fn time_method(
 /// smallest of the inner products with the k longest probes.
 pub(crate) fn seed_threshold(buckets: &ProbeBuckets, dir: &[f64], k: usize) -> f64 {
     let mut top = lemp_linalg::TopK::new(k);
-    let mut remaining = k;
-    'outer: for bucket in buckets.buckets() {
-        for lid in 0..bucket.len() {
-            if remaining == 0 {
-                break 'outer;
-            }
-            let v = kernels::dot(dir, bucket.origs.vector(lid));
-            top.push(bucket.ids[lid] as usize, v);
-            remaining -= 1;
-        }
-    }
+    seed_topk(buckets.buckets(), dir, k, &mut top, |_, _| {});
     top.threshold()
 }
 

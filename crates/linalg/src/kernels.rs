@@ -5,10 +5,14 @@
 //! is pruning work to avoid calling these). The portable implementations are
 //! straight-line slice code with manually unrolled independent accumulators
 //! so that rustc auto-vectorizes them; the reducing kernels (`dot`,
-//! `dist_sq`) and `axpy` additionally dispatch at runtime to the explicit
-//! AVX2 versions in [`crate::simd`], which produce **bit-identical** results
-//! (same per-lane operation order, no FMA) — enabling SIMD never changes a
-//! single produced value anywhere in the workspace.
+//! `dot_rows`, `dist_sq`) and `axpy` additionally dispatch at runtime to the
+//! explicit AVX2 versions in [`crate::simd`], which produce **bit-identical**
+//! results (same per-lane operation order, no FMA) — enabling SIMD never
+//! changes a single produced value anywhere in the workspace.
+//!
+//! [`dot_rows`] is the batched form of [`dot`] for one query against many
+//! rows (a candidate list to verify): four rows per kernel call, each value
+//! bit-identical to `dot` of its row, delivered in row order.
 
 use crate::simd;
 
@@ -26,6 +30,46 @@ use crate::simd;
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     simd::dot(a, b)
+}
+
+/// Inner products of one query `q` with a sequence of rows, handed to
+/// `emit(tag, q · row)` in sequence order — the verification step's kernel,
+/// where every surviving candidate costs one exact inner product.
+///
+/// Rows go through a four-row kernel: four independent 4-lane accumulators
+/// (one per row) share each load of `q`, so four dependency chains are in
+/// flight where [`dot`] has one. Every value is **bit-identical** to
+/// `dot(q, row)` on every dispatch path (same per-lane order, separate
+/// multiply and add, the same `(s0 + s1) + (s2 + s3) + tail` reduction),
+/// and values arrive in the order of `rows`; batching changes no result and
+/// no order, only speed. A trailing group of one to three rows fills the
+/// kernel with copies of its first row and drops their values; a group with
+/// a row whose length differs from `q`'s goes through `dot` row by row.
+/// Rows may come from anywhere, out of order or repeated; `tag` (a local
+/// id, say) is passed through with each value.
+#[inline]
+pub fn dot_rows<'a, T: Copy>(
+    q: &[f64],
+    rows: impl IntoIterator<Item = (T, &'a [f64])>,
+    mut emit: impl FnMut(T, f64),
+) {
+    let mut rows = rows.into_iter();
+    while let Some(first) = rows.next() {
+        let mut group = [first; 4];
+        let mut len = 1;
+        for slot in &mut group[1..] {
+            let Some(next) = rows.next() else { break };
+            *slot = next;
+            len += 1;
+        }
+        let values = simd::dot4(q, group.map(|(_, row)| row));
+        for (&(tag, _), value) in group[..len].iter().zip(values) {
+            emit(tag, value);
+        }
+        if len < 4 {
+            break;
+        }
+    }
 }
 
 /// Squared Euclidean norm `‖v‖²`.

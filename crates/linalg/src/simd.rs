@@ -11,6 +11,12 @@
 //! double arithmetic, so the SIMD results are equal **bit for bit** to the
 //! scalar ones — verified exhaustively and property-tested in this module.
 //!
+//! The four-row inner product behind [`crate::kernels::dot_rows`] is under
+//! the same contract, row by row against `dot`: it keeps four such 4-lane
+//! accumulators, one per row, that share each query load (four dependency
+//! chains in flight instead of one), and reduces each row exactly as `dot`
+//! does. Its portable fallback keeps the same sixteen scalar accumulators.
+//!
 //! Bit-identity matters in this workspace: exact LEMP variants are tested
 //! to return byte-identical results to the Naive baseline, and the dynamic
 //! maintenance engine looks vectors up by the bit pattern of their stored
@@ -124,6 +130,22 @@ pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
         return unsafe { avx2::dot(a, b) };
     }
     dot_scalar(a, b)
+}
+
+/// Dispatched four-row inner product; see [`crate::kernels::dot_rows`] for
+/// the contract (each value bit-identical to [`dot`] of its row).
+#[inline]
+pub(crate) fn dot4(q: &[f64], rows: [&[f64]; 4]) -> [f64; 4] {
+    if rows.iter().any(|r| r.len() != q.len()) {
+        // Rows of another length: `dot` truncates each pair on its own.
+        return rows.map(|r| dot(q, r));
+    }
+    #[cfg(target_arch = "x86_64")]
+    if q.len() >= MIN_SIMD_LEN && active() == Isa::Avx2 {
+        // SAFETY: as in `dot`; every row is as long as `q` (checked above).
+        return unsafe { avx2::dot4(q, rows) };
+    }
+    dot4_scalar(q, rows)
 }
 
 /// Dispatched squared distance; see [`crate::kernels::dist_sq`].
@@ -256,6 +278,40 @@ pub(crate) fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + tail
 }
 
+/// Portable four-row inner product: row `r`'s four accumulators play the
+/// role of [`dot_scalar`]'s `s0..s3`, fed in the same order, so each value
+/// is bit-identical to `dot_scalar(q, rows[r])`; the four rows share every
+/// query load. Rows must be as long as `q`.
+#[inline]
+pub(crate) fn dot4_scalar(q: &[f64], rows: [&[f64]; 4]) -> [f64; 4] {
+    let n = q.len();
+    let rows = [&rows[0][..n], &rows[1][..n], &rows[2][..n], &rows[3][..n]];
+    let chunks = n / 4;
+    // acc[r][i] is row r's s_i.
+    let mut acc = [[0.0f64; 4]; 4];
+    for c in 0..chunks {
+        let j = c * 4;
+        let qc = [q[j], q[j + 1], q[j + 2], q[j + 3]];
+        for (acc, row) in acc.iter_mut().zip(&rows) {
+            for i in 0..4 {
+                acc[i] += qc[i] * row[j + i];
+            }
+        }
+    }
+    let mut tail = [0.0f64; 4];
+    for j in chunks * 4..n {
+        for (tail, row) in tail.iter_mut().zip(&rows) {
+            *tail += q[j] * row[j];
+        }
+    }
+    let mut out = [0.0; 4];
+    for r in 0..4 {
+        let s = acc[r];
+        out[r] = (s[0] + s[1]) + (s[2] + s[3]) + tail[r];
+    }
+    out
+}
+
 /// Portable reference squared distance (same accumulator scheme as `dot`).
 #[inline]
 pub(crate) fn dist_sq_scalar(a: &[f64], b: &[f64]) -> f64 {
@@ -294,9 +350,10 @@ pub(crate) fn axpy_scalar(s: f64, b: &[f64], a: &mut [f64]) {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m128i, __m256d, _mm256_add_pd, _mm256_i32gather_pd, _mm256_loadu_pd, _mm256_mul_pd,
-        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm_cvtepu16_epi32,
-        _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_cvtsi64_si128, _mm_min_epi32, _mm_set1_epi32,
+        __m128i, __m256d, _mm256_add_pd, _mm256_hadd_pd, _mm256_i32gather_pd, _mm256_loadu_pd,
+        _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm256_sub_pd, _mm_cvtepu16_epi32, _mm_cvtepu8_epi32, _mm_cvtsi32_si128,
+        _mm_cvtsi64_si128, _mm_min_epi32, _mm_set1_epi32,
     };
 
     /// Reduces the 4-lane accumulator exactly like the scalar kernels:
@@ -336,6 +393,55 @@ mod avx2 {
             tail += a[j] * b[j];
         }
         reduce(acc) + tail
+    }
+
+    /// AVX2 four-row inner product, bit-identical row by row to
+    /// [`dot`]: one 4-lane accumulator per row, each fed exactly as `dot`
+    /// feeds its own, sharing every query load. The four reductions run
+    /// side by side — `hadd` forms every row's `s0 + s1` and `s2 + s3`,
+    /// one add joins them — then each row's tail is added.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and that every row is at
+    /// least as long as `q`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot4(q: &[f64], rows: [&[f64]; 4]) -> [f64; 4] {
+        let n = q.len();
+        let (r0, r1, r2, r3) = (&rows[0][..n], &rows[1][..n], &rows[2][..n], &rows[3][..n]);
+        let chunks = n / 4;
+        let mut a0 = _mm256_setzero_pd();
+        let mut a1 = _mm256_setzero_pd();
+        let mut a2 = _mm256_setzero_pd();
+        let mut a3 = _mm256_setzero_pd();
+        for i in 0..chunks {
+            let j = i * 4;
+            let qv = _mm256_loadu_pd(q.as_ptr().add(j));
+            a0 = _mm256_add_pd(a0, _mm256_mul_pd(qv, _mm256_loadu_pd(r0.as_ptr().add(j))));
+            a1 = _mm256_add_pd(a1, _mm256_mul_pd(qv, _mm256_loadu_pd(r1.as_ptr().add(j))));
+            a2 = _mm256_add_pd(a2, _mm256_mul_pd(qv, _mm256_loadu_pd(r2.as_ptr().add(j))));
+            a3 = _mm256_add_pd(a3, _mm256_mul_pd(qv, _mm256_loadu_pd(r3.as_ptr().add(j))));
+        }
+        // h01 = [a0₀+a0₁, a1₀+a1₁, a0₂+a0₃, a1₂+a1₃], h23 likewise; the
+        // 128-bit halves then line up as [rowᵣ's s0+s1] and [rowᵣ's s2+s3].
+        let h01 = _mm256_hadd_pd(a0, a1);
+        let h23 = _mm256_hadd_pd(a2, a3);
+        let sums = _mm256_add_pd(
+            _mm256_permute2f128_pd::<0x20>(h01, h23),
+            _mm256_permute2f128_pd::<0x31>(h01, h23),
+        );
+        // Four independent tail chains, each in `dot`'s order. Scalars, not
+        // an array: a `[f64; 4]` of tails compiled to one serial chain of
+        // lane blends and made the 50-d kernel about 1.6× slower.
+        let (mut t0, mut t1, mut t2, mut t3) = (0.0, 0.0, 0.0, 0.0);
+        for j in chunks * 4..n {
+            t0 += q[j] * r0[j];
+            t1 += q[j] * r1[j];
+            t2 += q[j] * r2[j];
+            t3 += q[j] * r3[j];
+        }
+        let mut out = [0.0f64; 4];
+        _mm256_storeu_pd(out.as_mut_ptr(), _mm256_add_pd(sums, _mm256_set_pd(t3, t2, t1, t0)));
+        out
     }
 
     /// AVX2 squared distance, bit-identical to [`super::dist_sq_scalar`].
@@ -765,8 +871,66 @@ mod tests {
             let prev = override_isa(isa);
             assert_eq!(dot(&a, &b).to_bits(), want_dot.to_bits(), "{isa:?}");
             assert_eq!(dist_sq(&a, &b).to_bits(), want_dist.to_bits(), "{isa:?}");
+            for (r, v) in dot4(&a, [&b, &a, &b, &a]).into_iter().enumerate() {
+                let want = if r % 2 == 0 { want_dot } else { dot_scalar(&a, &a) };
+                assert_eq!(v.to_bits(), want.to_bits(), "{isa:?} row {r}");
+            }
             override_isa(prev);
         }
+    }
+
+    /// Checks every value `kernels::dot_rows` emits against `dot_scalar`,
+    /// in row order, for `q` against `rows` gathered by `lids`.
+    fn assert_dot_rows_match(q: &[f64], rows: &[Vec<f64>], lids: &[usize], ctx: &str) {
+        let mut got = Vec::new();
+        crate::kernels::dot_rows(q, lids.iter().map(|&l| (l, rows[l].as_slice())), |l, v| {
+            got.push((l, v.to_bits()))
+        });
+        let want: Vec<(usize, u64)> =
+            lids.iter().map(|&l| (l, dot_scalar(q, &rows[l]).to_bits())).collect();
+        assert_eq!(got, want, "{ctx} lids={lids:?}");
+    }
+
+    #[test]
+    fn dot4_is_bit_identical_to_dot_for_every_length_on_both_isas() {
+        let _g = isa_guard();
+        for isa in [Isa::Scalar, Isa::Avx2] {
+            if isa == Isa::Avx2 && !avx2_supported() {
+                continue;
+            }
+            let prev = override_isa(isa);
+            for n in 0..=130 {
+                let q = pseudo(7000 + n as u64, n);
+                let rows: Vec<Vec<f64>> =
+                    (0..6).map(|r| pseudo(8000 + 10 * n as u64 + r, n)).collect();
+                // One full group, gathered out of order with a repeat.
+                let group = [&rows[4][..], &rows[1][..], &rows[4][..], &rows[0][..]];
+                let want = group.map(|r| dot_scalar(&q, r).to_bits());
+                assert_eq!(dot4(&q, group).map(f64::to_bits), want, "{isa:?} n={n}");
+                assert_eq!(dot4_scalar(&q, group).map(f64::to_bits), want, "n={n}");
+                #[cfg(target_arch = "x86_64")]
+                if avx2_supported() {
+                    // SAFETY: guarded by `avx2_supported`; rows are n long.
+                    let simd = unsafe { avx2::dot4(&q, group) };
+                    assert_eq!(simd.map(f64::to_bits), want, "avx2 n={n}");
+                }
+                // Lists of 0..=9 rows: whole groups plus trailing groups of
+                // one to three rows, out of order and with repeats.
+                let order = [5, 2, 2, 0, 4, 1, 3, 5, 0];
+                for len in 0..=order.len() {
+                    let ctx = format!("{isa:?} n={n}");
+                    assert_dot_rows_match(&q, &rows, &order[..len], &ctx);
+                }
+            }
+            override_isa(prev);
+        }
+    }
+
+    #[test]
+    fn dot_rows_falls_back_to_dot_for_rows_of_another_length() {
+        let q = pseudo(1, 12);
+        let rows = vec![pseudo(2, 12), pseudo(3, 9), pseudo(4, 15), pseudo(5, 12)];
+        assert_dot_rows_match(&q, &rows, &[0, 1, 2, 3, 1], "mixed lengths");
     }
 
     #[test]
@@ -781,13 +945,36 @@ mod tests {
 
     #[test]
     fn special_values_flow_through_identically() {
-        if !avx2_supported() {
-            return;
-        }
+        let _g = isa_guard();
         let a = [f64::INFINITY, -0.0, 1e-308, f64::MAX, 1.0, 2.0, 3.0, 4.0, 5.0];
         let b = [0.5, 7.0, 1e-10, 2.0, -1.0, 0.0, f64::MIN_POSITIVE, -4.0, 9.0];
-        // SAFETY: guarded by `avx2_supported` above.
-        let simd = unsafe { avx2::dot(&a, &b) };
-        assert_eq!(dot_scalar(&a, &b).to_bits(), simd.to_bits());
+        // Signed zeros, subnormals, infinities of both signs, and NaN (one
+        // NaN source per row, so the propagated payload is well defined).
+        let zeros = [-0.0; 9];
+        let subnormal = [5e-324, -5e-324, 1e-320, 0.0, -1e-310, 2.0, -0.0, 4e-323, 1.0];
+        let infs = [1.0, f64::NEG_INFINITY, 0.5, -1.0, f64::INFINITY, 2.0, 1.0, -3.0, 0.25];
+        let nan = [1.0, 2.0, 3.0, 4.0, 5.0, f64::NAN, 7.0, 8.0, 9.0];
+        let rows: [&[f64]; 6] = [&b, &zeros, &subnormal, &infs, &nan, &a];
+        for (r, row) in rows.iter().enumerate() {
+            let want = dot_scalar(&a, row);
+            if avx2_supported() {
+                // SAFETY: guarded by `avx2_supported`.
+                let simd = unsafe { avx2::dot(&a, row) };
+                assert_eq!(want.to_bits(), simd.to_bits(), "dot row {r}");
+            }
+        }
+        for group in [[0, 1, 2, 3], [4, 5, 0, 4], [3, 2, 1, 0]] {
+            let group = group.map(|r| rows[r]);
+            let want = group.map(|r| dot_scalar(&a, r).to_bits());
+            assert_eq!(dot4_scalar(&a, group).map(f64::to_bits), want);
+            for isa in [Isa::Scalar, Isa::Avx2] {
+                if isa == Isa::Avx2 && !avx2_supported() {
+                    continue;
+                }
+                let prev = override_isa(isa);
+                assert_eq!(dot4(&a, group).map(f64::to_bits), want, "{isa:?}");
+                override_isa(prev);
+            }
+        }
     }
 }
