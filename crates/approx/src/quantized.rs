@@ -91,10 +91,13 @@ impl QuantizedScorer {
         self.quant.is_empty()
     }
 
-    /// Resident bytes of the quantized representation (codebooks + codes +
-    /// lengths) — what a pure-quantized deployment would hold in memory.
+    /// Resident bytes of the quantized representation (codebook, codes,
+    /// bounds and lengths) — what a pure-quantized deployment would hold in
+    /// memory.
     pub fn resident_bytes(&self) -> usize {
-        self.quant.resident_bytes() + self.lengths.len() * 8
+        self.quant.codebook().resident_bytes()
+            + self.quant.resident_bytes()
+            + self.lengths.len() * 8
     }
 
     /// Approximate top-`k` probes by inner product with `q`, ranked and

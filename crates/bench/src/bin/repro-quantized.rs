@@ -123,7 +123,8 @@ fn main() {
     let (_, dirs) = GeneratorConfig::gaussian(4096, 50, 0.0).generate(seed).decompose();
     let qb = QuantizedBucket::train(&dirs, 8, seed).unwrap();
     let full_bytes = dirs.len() * dirs.dim() * 8;
-    let residency_ratio = full_bytes as f64 / qb.resident_bytes() as f64;
+    let quant_bytes = qb.codebook().resident_bytes() + qb.resident_bytes();
+    let residency_ratio = full_bytes as f64 / quant_bytes as f64;
 
     let query = {
         let (_, q) = GeneratorConfig::gaussian(1, 50, 0.0).generate(seed + 1).decompose();
@@ -145,7 +146,7 @@ fn main() {
     println!(
         "\n8-bit bucket (4096×50): residency {full_bytes} → {} bytes ({residency_ratio:.1}×), \
          scan {:.1}µs → {:.1}µs ({scan_speedup:.1}×)",
-        qb.resident_bytes(),
+        quant_bytes,
         full_s * 1e6,
         lut_s * 1e6
     );

@@ -43,7 +43,7 @@ use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
 use crate::exec::{
-    ensure_for, run_method, seed_topk, verify_above, verify_topk, BuildClock, RunConfig,
+    ensure_for, run_method, seed_query, verify_above, verify_topk, BuildClock, RunConfig,
 };
 use crate::query::QueryBatch;
 use crate::runner::{
@@ -628,7 +628,9 @@ pub(crate) fn row_top_k_adaptive_with(
             let dir = batch.dirs.vector(qi);
             // Lazy index construction, as in the serial tuned driver: θ′
             // only grows after seeding, so a bucket pruned now stays pruned.
-            let theta_seed = tuner::seed_threshold(buckets, dir, k);
+            counters.candidates +=
+                seed_query(buckets.buckets(), dir, k, &mut top, &mut seed_counts);
+            let theta_seed = top.threshold();
             for b in 0..buckets.bucket_count() {
                 let bucket = &mut buckets.buckets_mut()[b];
                 if bucket.max_len <= 0.0 {
@@ -640,15 +642,14 @@ pub(crate) fn row_top_k_adaptive_with(
                 ensure_arm_indexes(bucket, selector, cfg, &mut clock);
             }
             // The sweep itself (Sec. 4.5 driver with bandit arm choices).
-            let mut list = adaptive_topk_one(
+            let mut list = adaptive_topk_sweep(
                 buckets.buckets(),
                 dir,
-                k,
                 selector,
                 &mut scratch,
                 &mut sink,
                 &mut top,
-                &mut seed_counts,
+                &seed_counts,
                 &mut counters,
                 &mut mix,
             );
@@ -674,25 +675,21 @@ pub(crate) fn row_top_k_adaptive_with(
     }
 }
 
-/// One Row-Top-k query with bandit arm choices over pre-built buckets
-/// (Sec. 4.5 driver). Returns the top-k list at the `‖q‖ = 1` scale.
+/// The bucket sweep of one Row-Top-k query with bandit arm choices over
+/// pre-built buckets (Sec. 4.5 driver), continuing from the heap
+/// [`seed_query`] seeded. Returns the top-k list at the `‖q‖ = 1` scale.
 #[allow(clippy::too_many_arguments)]
-fn adaptive_topk_one(
+fn adaptive_topk_sweep(
     buckets: &[Bucket],
     dir: &[f64],
-    k: usize,
     selector: &mut AdaptiveSelector,
     scratch: &mut MethodScratch,
     sink: &mut Sink,
     top: &mut TopK,
-    seed_counts: &mut Vec<usize>,
+    seed_counts: &[usize],
     counters: &mut RetrievalCounters,
     mix: &mut MethodMix,
 ) -> Vec<lemp_linalg::ScoredItem> {
-    top.clear();
-    seed_counts.clear();
-    seed_counts.resize(buckets.len(), 0);
-    counters.candidates += seed_topk(buckets, dir, k, top, |b, n| seed_counts[b] = n);
     let mut theta = top.threshold();
     for (b, bucket) in buckets.iter().enumerate() {
         if local_threshold(theta, 1.0, bucket.max_len) > 1.0 + 1e-12 {
@@ -757,15 +754,17 @@ pub(crate) fn row_top_k_adaptive_prepared(
 
     if k > 0 && !batch.is_empty() && buckets.bucket_count() > 0 {
         for qi in 0..batch.len() {
-            let mut list = adaptive_topk_one(
+            let dir = batch.dirs.vector(qi);
+            counters.candidates +=
+                seed_query(buckets.buckets(), dir, k, &mut top, &mut seed_counts);
+            let mut list = adaptive_topk_sweep(
                 buckets.buckets(),
-                batch.dirs.vector(qi),
-                k,
+                dir,
                 selector,
                 scratch,
                 &mut sink,
                 &mut top,
-                &mut seed_counts,
+                &seed_counts,
                 &mut counters,
                 &mut mix,
             );

@@ -85,8 +85,9 @@ pub struct MethodScratch {
     pub order: Vec<usize>,
     /// Result buffer for adapters that verify internally.
     pub row: Vec<(u32, f64)>,
-    /// Query-specific lookup table for the quantized scan (`m·k` entries).
-    pub lut: Vec<f64>,
+    /// The current query's lookup table for the quantized scan (`m·k`
+    /// entries), reused across the query's bucket visits.
+    pub lut: crate::quant::QueryLut,
     /// Approximate score buffer for the quantized scan (`n` entries).
     pub qscores: Vec<f64>,
 }
@@ -103,7 +104,7 @@ impl MethodScratch {
             ranges: Vec::new(),
             order: Vec::new(),
             row: Vec::new(),
-            lut: Vec::new(),
+            lut: Default::default(),
             qscores: Vec::new(),
         }
     }

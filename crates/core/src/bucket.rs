@@ -16,17 +16,20 @@
 //! every query prunes are never indexed ("LEMP constructs indexes lazily on
 //! first use to further reduce computational cost"). Dynamic edits keep the
 //! built COORD/INCR lists and QUANT codes current in place and drop the
-//! rest (see [`crate::dynamic`]).
+//! rest (see [`crate::dynamic`]). QUANT codes index the one codebook the
+//! engine trains for all of its buckets ([`ProbeBuckets::codebook`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lemp_apss::{BlshIndex, L2apIndex};
 use lemp_baselines::{CoverTree, TaIndex};
 use lemp_linalg::VectorStore;
 
+use crate::exec::BuildClock;
 use crate::index::{ColumnIndex, RowIndex};
-use crate::quant::QuantizedBucket;
+use crate::quant::{Codebook, QuantizedBucket};
 
 /// Controls the greedy bucketization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,8 +85,8 @@ pub struct BucketIndexes {
     pub l2ap: Option<L2apIndex>,
     /// BayesLSH signatures over the unit directions.
     pub blsh: Option<BlshIndex>,
-    /// Quantized representation (subspace codebooks + packed codes) for the
-    /// LUT scoring scan.
+    /// Packed codes against the engine's codebook, for the LUT scoring
+    /// scan.
     pub quant: Option<QuantizedBucket>,
 }
 
@@ -135,8 +138,8 @@ impl Bucket {
     /// Inserts a vector at the position keeping lengths non-increasing
     /// (after existing entries of equal length). Built COORD/INCR lists
     /// take the new direction spliced in and built QUANT codes encode it
-    /// against the trained codebooks (no retraining); the other indexes
-    /// are dropped. Returns the insertion position.
+    /// against the engine's codebook (no training); the other indexes are
+    /// dropped. Returns the insertion position.
     pub(crate) fn insert_sorted(&mut self, id: u32, v: &[f64], len: f64) -> usize {
         let pos = self.lengths.partition_point(|&l| l >= len);
         self.ids.insert(pos, id);
@@ -163,9 +166,7 @@ impl Bucket {
 
     /// Removes the vector at bucket-local position `lid`, cutting it out
     /// of built COORD/INCR lists and QUANT codes and dropping the other
-    /// indexes. QUANT codes are dropped too (to be retrained) when fewer
-    /// probes than centroids remain. The bucket may become empty; the
-    /// caller disposes of it.
+    /// indexes. The bucket may become empty; the caller disposes of it.
     pub(crate) fn remove_at(&mut self, lid: usize) {
         self.ids.remove(lid);
         self.lengths.remove(lid);
@@ -180,9 +181,6 @@ impl Bucket {
         if let Some(incr) = &mut idx.incr {
             incr.remove(lid);
         }
-        if idx.quant.as_ref().is_some_and(|q| q.k() >= q.len()) {
-            idx.quant = None;
-        }
         if let Some(quant) = &mut idx.quant {
             quant.remove(lid);
         }
@@ -191,10 +189,13 @@ impl Bucket {
 
     /// Splits off the shorter half into a new bucket (used when dynamic
     /// inserts push a bucket past the cache cap). `self` keeps the longer
-    /// half; both halves lose their indexes.
+    /// half; QUANT codes split with the rows (each half's codes are what
+    /// encoding it would give), every other index is dropped.
     pub(crate) fn split_off_tail(&mut self) -> Bucket {
         let mid = self.len() / 2;
         debug_assert!(mid >= 1 && mid < self.len(), "split needs ≥ 2 vectors");
+        let mut quant = self.indexes.quant.take();
+        let tail_quant = quant.as_mut().map(|q| q.split_off(mid));
         let tail_ids = self.ids.split_off(mid);
         let tail_rows: Vec<usize> = (mid..mid + tail_ids.len()).collect();
         let tail_origs = self.origs.select(&tail_rows);
@@ -204,8 +205,10 @@ impl Bucket {
         self.dirs = self.dirs.select(&head_rows);
         self.max_len = self.lengths[0];
         self.min_len = *self.lengths.last().expect("head non-empty");
-        self.indexes = BucketIndexes::default();
-        Bucket::from_sorted_rows(tail_ids, tail_origs)
+        self.indexes = BucketIndexes { quant, ..BucketIndexes::default() };
+        let mut tail = Bucket::from_sorted_rows(tail_ids, tail_origs);
+        tail.indexes.quant = tail_quant;
+        tail
     }
 
     /// Number of vectors in the bucket.
@@ -287,13 +290,12 @@ impl Bucket {
         }
     }
 
-    /// Trains the quantized representation at the given code width if
-    /// absent; returns whether it was built now. A zero or out-of-range
-    /// `bits` leaves the bucket unquantized (train refuses it).
-    pub fn ensure_quant(&mut self, bits: u8, seed: u64) -> bool {
+    /// Encodes the bucket against `codebook` if it holds no codes yet;
+    /// returns whether it was encoded now.
+    pub fn ensure_quant(&mut self, codebook: &Arc<Codebook>) -> bool {
         if self.indexes.quant.is_none() {
-            self.indexes.quant = QuantizedBucket::train(&self.dirs, bits, seed);
-            self.indexes.quant.is_some()
+            self.indexes.quant = Some(QuantizedBucket::encode(Arc::clone(codebook), &self.dirs));
+            true
         } else {
             false
         }
@@ -308,8 +310,9 @@ pub struct MemoryUsage {
     /// Full-precision residency: unit directions and original vectors
     /// (8 bytes per coordinate each) plus per-probe length and id.
     pub full_bytes: u64,
-    /// Quantized residency: codebooks + packed codes plus per-probe length
-    /// and id; zero until codebooks are trained.
+    /// Quantized residency: the codebook, packed codes and per-probe
+    /// bounds, plus per-probe length and id; zero until the codebook is
+    /// trained.
     pub quantized_bytes: u64,
 }
 
@@ -334,6 +337,10 @@ pub struct ProbeBuckets {
     /// count-preserving edits (an insert absorbed by an existing bucket,
     /// a re-tune) that leave every other observable unchanged.
     epoch: u64,
+    /// The codebook every bucket's QUANT codes index, once trained (see
+    /// [`Self::ensure_quantized`]). While it is set, every bucket holds
+    /// codes against it: edits encode new rows, never train.
+    codebook: Option<Arc<Codebook>>,
 }
 
 /// Process-global epoch source: every fresh stamp is strictly greater than
@@ -396,6 +403,7 @@ impl ProbeBuckets {
             buckets,
             prep_ns: start.elapsed().as_nanos() as u64,
             epoch: next_epoch(),
+            codebook: None,
         }
     }
 
@@ -439,9 +447,13 @@ impl ProbeBuckets {
     }
 
     /// Probe-residency accounting: full-precision bytes vs the quantized
-    /// representation's bytes, summed over buckets.
+    /// representation's bytes, summed over buckets (the shared codebook
+    /// counts once).
     pub fn memory_usage(&self) -> MemoryUsage {
         let mut mem = MemoryUsage::default();
+        if let Some(cb) = &self.codebook {
+            mem.quantized_bytes += cb.resident_bytes() as u64;
+        }
         for b in &self.buckets {
             let n = b.len() as u64;
             mem.full_bytes += n * (16 * self.dim as u64 + 12);
@@ -466,7 +478,47 @@ impl ProbeBuckets {
 
     /// Reassembles a bucket set from persisted parts (engine loading).
     pub(crate) fn from_parts(dim: usize, total: usize, buckets: Vec<Bucket>) -> Self {
-        Self { dim, total, buckets, prep_ns: 0, epoch: next_epoch() }
+        Self { dim, total, buckets, prep_ns: 0, epoch: next_epoch(), codebook: None }
+    }
+
+    /// The codebook every bucket's QUANT codes index (`None` until trained
+    /// or loaded).
+    pub fn codebook(&self) -> Option<&Arc<Codebook>> {
+        self.codebook.as_ref()
+    }
+
+    /// Attaches a loaded codebook (engine loading; the caller attaches the
+    /// buckets' codes against it).
+    pub(crate) fn set_codebook(&mut self, codebook: Arc<Codebook>) {
+        self.codebook = Some(codebook);
+    }
+
+    /// Trains the engine's codebook at code width `bits` unless one exists,
+    /// then encodes every bucket that holds no codes yet. The only place a
+    /// codebook trains: warm-up, a rebuild and the first QUANT use of a
+    /// cold engine come through here. `bits == 0` (quantization off) and an
+    /// empty engine do nothing.
+    pub(crate) fn ensure_quantized(&mut self, bits: u8, clock: &mut BuildClock) {
+        if bits == 0 {
+            return;
+        }
+        let start = Instant::now();
+        let mut built = 0;
+        if self.codebook.is_none() {
+            let Some(cb) = Codebook::train_for(&self.buckets, bits) else { return };
+            self.codebook = Some(Arc::new(cb));
+            built += 1;
+        }
+        let cb = Arc::clone(self.codebook.as_ref().expect("trained above"));
+        if self.buckets.iter().any(|b| b.indexes.quant.is_none()) {
+            for bucket in self.buckets_mut() {
+                built += u64::from(bucket.ensure_quant(&cb));
+            }
+        }
+        if built > 0 {
+            clock.ns += start.elapsed().as_nanos() as u64;
+            clock.built += built;
+        }
     }
 }
 
@@ -620,6 +672,37 @@ mod tests {
         assert!(!b.ensure_l2ap(0.9)); // first threshold wins
         assert!(b.ensure_blsh(32, 1));
         assert!(!b.ensure_blsh(32, 1));
+    }
+
+    #[test]
+    fn engine_codebook_trains_once_and_encodes_every_bucket() {
+        let store = probes(300, 1.0, 13);
+        let policy = BucketPolicy { min_bucket: 10, ..Default::default() };
+        let mut pb = ProbeBuckets::build(&store, &policy);
+        let n = pb.bucket_count() as u64;
+        assert!(n > 1);
+        let mut clock = BuildClock::default();
+        pb.ensure_quantized(0, &mut clock); // quantization off
+        assert!(pb.codebook().is_none() && clock.built == 0);
+        pb.ensure_quantized(8, &mut clock);
+        assert_eq!(clock.built, 1 + n, "one training, one encode per bucket");
+        pb.ensure_quantized(8, &mut clock); // idempotent
+        assert_eq!(clock.built, 1 + n);
+        let cb = Arc::clone(pb.codebook().unwrap());
+        for b in pb.buckets() {
+            assert!(Arc::ptr_eq(b.indexes.quant.as_ref().unwrap().codebook(), &cb));
+        }
+        // A bucket without codes is encoded against the codebook; nothing
+        // retrains.
+        pb.buckets_mut()[1].indexes.quant = None;
+        pb.ensure_quantized(8, &mut clock);
+        assert_eq!(clock.built, 2 + n);
+        assert!(Arc::ptr_eq(pb.codebook().unwrap(), &cb));
+        let q = pb.buckets()[1].indexes.quant.as_ref().unwrap();
+        assert_eq!(*q, QuantizedBucket::encode(Arc::clone(&cb), &pb.buckets()[1].dirs));
+        let usage = pb.memory_usage();
+        assert!(usage.quantized_bytes > cb.resident_bytes() as u64);
+        assert!(usage.quantized_bytes < usage.full_bytes);
     }
 
     #[test]

@@ -28,20 +28,20 @@
 //! * the COORD and INCR sorted lists splice the row in or out in O(r·n)
 //!   and stay equal to a fresh build over the bucket's directions
 //!   ([`crate::index`]);
-//! * QUANT codes encode an inserted direction against the bucket's
-//!   *trained* codebooks — one nearest-centroid search per subspace — and
-//!   record that probe's own distortion bound, so a direction the
-//!   codebooks fit badly loosens only its own pruning test
-//!   ([`crate::quant`]); a removal cuts the probe's codes out;
+//! * QUANT codes encode an inserted direction against the engine's one
+//!   codebook — one nearest-centroid search per subspace — and record that
+//!   probe's own distortion bound, so a direction the codebook fits badly
+//!   loosens only its own pruning test ([`crate::quant`]); a fresh
+//!   singleton bucket encodes its row the same way, a cache-cap split
+//!   hands each half its share of the codes, and a removal cuts the
+//!   probe's codes out;
 //! * TA, cover-tree, L2AP and BLSH indexes are dropped and rebuild on the
 //!   next query that needs them, like the paper's lazy construction.
 //!
-//! Codebooks therefore **train** only at [`DynamicLemp::warm`] (or on first
-//! QUANT use of a cold engine), for a fresh singleton bucket, for both
-//! halves of a cache-cap split, in [`DynamicLemp::rebuild`], and when a
-//! removal would leave a bucket with fewer probes than centroids. On a warm
-//! engine those cases retrain inside the edit; every other edit costs a
-//! splice, so a serving write lock is held for about the WAL append.
+//! **Edits never train.** The codebook trains only at
+//! [`DynamicLemp::warm`], in [`DynamicLemp::rebuild`] of a warm engine,
+//! and on first QUANT use of a cold engine; every edit encodes against it,
+//! so a serving write lock is held for about the WAL append plus a splice.
 //!
 //! Two invariants survive every edit, and the test suite checks them after
 //! randomized edit scripts:
@@ -208,10 +208,10 @@ impl DynamicLemp {
         plan::run_request_single(&parts, request, queries, scratch, selector)
     }
 
-    /// Builds the indexes bucket `b` lacks after an edit — all of them for
-    /// a fresh or split bucket, codebooks a removal dropped, and the
-    /// indexes edits don't maintain in place — so the warm invariant
-    /// (every bucket fully indexed) survives the edit.
+    /// Builds the indexes bucket `b` lacks after an edit — the sorted lists
+    /// of a fresh or split bucket and the indexes edits don't maintain in
+    /// place — so the warm invariant (every bucket fully indexed) survives
+    /// the edit. QUANT codes are never built here: edits encode them.
     fn rewarm_bucket(&mut self, b: usize) {
         let params = match &self.warm {
             Some(w) => w.per_bucket[b],
@@ -313,6 +313,7 @@ impl DynamicLemp {
         let ratio = self.policy.length_ratio;
         let min_bucket = self.policy.min_bucket;
         let dim = self.dim();
+        let codebook = self.buckets.codebook().cloned();
         let buckets = self.buckets.buckets_vec_mut();
         // Buckets partition the length axis in decreasing order; `pp` is the
         // count of buckets whose range lies fully above `len`.
@@ -353,7 +354,13 @@ impl DynamicLemp {
                 (cand + 1, true)
             }
         };
-        // Cache cap: split an overgrown bucket in half (both keep order).
+        // A fresh bucket encodes against the engine's codebook, if any
+        // (joined buckets encoded the row in `insert_sorted`).
+        if let (true, Some(cb)) = (created, &codebook) {
+            buckets[target].ensure_quant(cb);
+        }
+        // Cache cap: split an overgrown bucket in half (both keep order
+        // and their share of the codes).
         let cap = self.policy.max_bucket(dim);
         let split = buckets[target].len() > cap;
         if split {
@@ -470,9 +477,10 @@ impl DynamicLemp {
     /// Rebuilds the bucketization from scratch (compaction). Stable ids are
     /// preserved; all lazy indexes are dropped and rebuild on demand. A
     /// warm engine stays warm — every bucket of the compacted layout is
-    /// re-indexed before the call returns — but the tuned per-bucket
-    /// parameters reset to defaults (the old buckets no longer exist);
-    /// call [`DynamicLemp::warm`] again to re-tune.
+    /// re-indexed before the call returns, and a quantized one trains its
+    /// codebook anew — but the tuned per-bucket parameters reset to
+    /// defaults (the old buckets no longer exist); call
+    /// [`DynamicLemp::warm`] again to re-tune.
     pub fn rebuild(&mut self) {
         let (ids, store) = self.live_vectors();
         let mut rebuilt = ProbeBuckets::build(&store, &self.policy);
@@ -654,10 +662,10 @@ impl DynamicLemp {
         };
         let mut w = std::io::BufWriter::new(writer);
         // Same backward-compat rule as the static format: quantization off
-        // → byte-identical LEMPDYN1 image; on → LEMPDYN2 with the
+        // → byte-identical LEMPDYN1 image; on → LEMPDYN3 with the
         // quantized section appended after the bucket section.
         let quantized = self.config.quantize_bits > 0;
-        w.write_all(if quantized { DYN_MAGIC2 } else { DYN_MAGIC })?;
+        w.write_all(if quantized { DYN_MAGIC3 } else { DYN_MAGIC })?;
         write_f64(&mut w, self.policy.length_ratio)?;
         write_u64(&mut w, self.policy.min_bucket as u64)?;
         write_u64(&mut w, self.policy.cache_bytes as u64)?;
@@ -693,17 +701,14 @@ impl DynamicLemp {
     /// (ids at/above the watermark, duplicate ids across buckets).
     pub fn read_from<R: std::io::Read>(reader: R) -> Result<Self, PersistError> {
         use crate::persist::{
-            expect_eof, read_bucket_section, read_config, read_f64, read_quant_section, read_u64,
+            expect_eof, quant_section_of, read_bucket_section, read_config, read_f64,
+            read_quant_section, read_u64,
         };
         let mut r = std::io::BufReader::new(reader);
         let mut magic = [0u8; 8];
         std::io::Read::read_exact(&mut r, &mut magic)
             .map_err(|_| PersistError::Format("file too short for magic".into()))?;
-        let quantized = match &magic {
-            m if m == DYN_MAGIC => false,
-            m if m == DYN_MAGIC2 => true,
-            _ => return Err(PersistError::Format(format!("bad magic {magic:?}"))),
-        };
+        let version = quant_section_of(&magic, [DYN_MAGIC, DYN_MAGIC2, DYN_MAGIC3])?;
         let policy = BucketPolicy {
             length_ratio: read_f64(&mut r, "length_ratio")?,
             min_bucket: read_u64(&mut r, "min_bucket")? as usize,
@@ -728,9 +733,7 @@ impl DynamicLemp {
         }
         let mut buckets = read_bucket_section(&mut r)?;
         let mut config = config;
-        if quantized {
-            config.quantize_bits = read_quant_section(&mut r, &mut buckets)?;
-        }
+        config.quantize_bits = read_quant_section(&mut r, &mut buckets, version)?;
         expect_eof(&mut r)?;
 
         // Probe allocatability first (graceful Format error instead of an
@@ -826,7 +829,9 @@ impl Engine for DynamicLemp {
 }
 
 const DYN_MAGIC: &[u8; 8] = b"LEMPDYN1";
+/// Quantized images with per-bucket codebooks: read, never written.
 const DYN_MAGIC2: &[u8; 8] = b"LEMPDYN2";
+const DYN_MAGIC3: &[u8; 8] = b"LEMPDYN3";
 
 /// A fresh single-vector bucket.
 fn singleton(id: u32, v: &[f64]) -> Bucket {
@@ -1146,11 +1151,13 @@ mod tests {
     }
 
     /// Asserts every built COORD/INCR index equals a fresh build over its
-    /// bucket's directions, and every `QuantizedBucket` equals
-    /// `from_parts` of its own codebooks and codes.
+    /// bucket's directions, and every bucket's QUANT codes index the
+    /// engine's codebook and equal a fresh encode against it (and what an
+    /// image of them reloads to).
     fn check_indexes_match_fresh_builds(e: &DynamicLemp) {
         use crate::index::{ColumnIndex, RowIndex};
         use crate::quant::QuantizedBucket;
+        use std::sync::Arc;
         for (bi, b) in e.buckets().buckets().iter().enumerate() {
             if let Some(coord) = &b.indexes.coord {
                 let fresh = ColumnIndex::build(&b.dirs);
@@ -1161,16 +1168,13 @@ mod tests {
                 assert_eq!(format!("{incr:?}"), format!("{fresh:?}"), "bucket {bi}: INCR");
             }
             if let Some(q) = &b.indexes.quant {
-                let fresh = QuantizedBucket::from_parts(
-                    q.bits(),
-                    q.sub_dim(),
-                    q.k(),
-                    q.codebooks().to_vec(),
-                    q.codes().clone(),
-                    &b.dirs,
-                )
-                .unwrap_or_else(|err| panic!("bucket {bi}: {err}"));
-                assert_eq!(q, &fresh, "bucket {bi}: QUANT");
+                let cb = e.buckets().codebook().expect("codes imply the engine's codebook");
+                assert!(Arc::ptr_eq(q.codebook(), cb), "bucket {bi}: a foreign codebook");
+                assert_eq!(q, &QuantizedBucket::encode(Arc::clone(cb), &b.dirs), "bucket {bi}");
+                let reloaded =
+                    QuantizedBucket::from_codes(Arc::clone(cb), q.codes().clone(), &b.dirs)
+                        .unwrap_or_else(|err| panic!("bucket {bi}: {err}"));
+                assert_eq!(q, &reloaded, "bucket {bi}: QUANT");
             }
         }
     }
@@ -1185,10 +1189,15 @@ mod tests {
             .expect("live id is in a bucket")
     }
 
+    /// The stamp of the engine's codebook.
+    fn stamp(e: &DynamicLemp) -> u64 {
+        e.buckets().codebook().expect("a trained codebook").stamp()
+    }
+
     #[test]
     fn incremental_indexes_equal_a_fresh_build() {
-        // 3-bit codes: k = 8 centroids, so buckets above 8 probes take
-        // removals without retraining and draining one below 8 retrains.
+        // 3-bit codes: k = 8 centroids, so draining a bucket below 8 probes
+        // leaves fewer probes than centroids — an ordinary state.
         let probes = fixture(160, 30);
         let config = RunConfig { sample_size: 8, quantize_bits: 3, ..Default::default() };
         // A wide ratio window, so buckets absorb new longest and shortest
@@ -1197,6 +1206,7 @@ mod tests {
         let mut e = DynamicLemp::new(&probes, policy, config);
         e.warm(&fixture(12, 31), crate::WarmGoal::TopK(3));
         check_indexes_match_fresh_builds(&e);
+        let trained = stamp(&e);
         let mut rng = StdRng::seed_from_u64(32);
         let (mut fronts, mut backs, mut encoded) = (0, 0, 0);
         for script in 0..6 {
@@ -1222,26 +1232,17 @@ mod tests {
                         })
                         .collect(),
                 };
-                let before: Vec<Option<Vec<f64>>> = e
-                    .buckets()
-                    .buckets()
-                    .iter()
-                    .map(|b| b.indexes.quant.as_ref().map(|q| q.codebooks().to_vec()))
-                    .collect();
                 let count = e.bucket_count();
                 let id = e.insert(&v).unwrap();
-                let (bi, lid, len) = locate(&e, id);
+                let (_, lid, len) = locate(&e, id);
                 fronts += usize::from(lid == 0 && len > 1);
                 backs += usize::from(lid + 1 == len && len > 1);
-                // Absorbed by an existing bucket: encoded, not trained.
-                if e.bucket_count() == count {
-                    let q = e.buckets().buckets()[bi].indexes.quant.as_ref().unwrap();
-                    assert_eq!(Some(q.codebooks().to_vec()), before[bi], "insert retrained");
-                    encoded += 1;
-                }
+                // Absorbed by an existing bucket: encoded into its codes.
+                encoded += usize::from(e.bucket_count() == count);
+                assert_eq!(stamp(&e), trained, "an insert trained");
             }
-            // Drain one bucket below its centroid count (it retrains),
-            // then remove at random.
+            // Drain one bucket below the centroid count, then remove at
+            // random: codes are cut out, nothing retrains.
             let victim = e.buckets().buckets()[script % e.bucket_count()].ids.clone();
             for &id in victim.iter().skip(4) {
                 assert!(e.remove(id));
@@ -1250,6 +1251,7 @@ mod tests {
                 let id = rng.random_range(0..e.next_id());
                 e.remove(id);
             }
+            assert_eq!(stamp(&e), trained, "script {script}: a removal trained");
             check_invariants(&e);
             check_indexes_match_fresh_builds(&e);
             assert!(
@@ -1258,7 +1260,77 @@ mod tests {
             );
         }
         assert!(fronts > 0 && backs > 0, "scripts must edit both bucket ends");
-        assert!(encoded > 0, "scripts must encode into trained codebooks");
+        assert!(encoded > 0, "scripts must encode into existing buckets");
+    }
+
+    #[test]
+    fn edits_encode_against_one_codebook_and_never_train() {
+        // A small cache cap forces splits; out-of-range lengths open
+        // singletons; drains leave buckets of one probe.
+        let probes = fixture(150, 33);
+        let config = RunConfig { sample_size: 8, quantize_bits: 8, ..Default::default() };
+        let policy = BucketPolicy { min_bucket: 6, cache_bytes: 8 << 10, ..Default::default() };
+        let cap = policy.max_bucket(8);
+        let mut e = DynamicLemp::new(&probes, policy, config);
+        e.warm(&fixture(12, 34), crate::WarmGoal::TopK(3));
+        let trained = stamp(&e);
+        let mut rng = StdRng::seed_from_u64(35);
+        let (mut singletons, mut splits, mut ones) = (0, 0, 0);
+        for step in 0..120 {
+            let count = e.bucket_count();
+            match step % 4 {
+                // Far outside every length range: a fresh singleton (or a
+                // join of the previous one while it is undersized).
+                0 => {
+                    let scale =
+                        10f64.powi(if step % 8 == 0 { 3 + step / 8 } else { -3 - step / 8 });
+                    let v: Vec<f64> = (0..8).map(|_| scale * rng.random_range(-1.0..1.0)).collect();
+                    e.insert(&v).unwrap();
+                    singletons += usize::from(e.bucket_count() == count + 1);
+                }
+                // Copies of one row until its bucket passes the cap.
+                1 => {
+                    let b = &e.buckets().buckets()[rng.random_range(0..count)];
+                    let v = b.origs.vector(rng.random_range(0..b.len())).to_vec();
+                    for _ in 0..=cap {
+                        e.insert(&v).unwrap();
+                        if e.bucket_count() > count {
+                            splits += 1;
+                            break;
+                        }
+                    }
+                }
+                // Drain a bucket down to one probe.
+                2 => {
+                    let b = &e.buckets().buckets()[rng.random_range(0..count)];
+                    for id in b.ids.clone().into_iter().skip(1) {
+                        assert!(e.remove(id));
+                    }
+                    ones += 1;
+                }
+                _ => {
+                    let id = rng.random_range(0..e.next_id());
+                    e.remove(id);
+                }
+            }
+            assert_eq!(stamp(&e), trained, "step {step}: an edit trained");
+            check_invariants(&e);
+            check_indexes_match_fresh_builds(&e);
+            assert!(e.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()));
+        }
+        assert!(singletons >= 3 && splits >= 10 && ones >= 10, "{singletons} {splits} {ones}");
+        // Answers stay exact against Naive over the live set.
+        let (ids, store) = e.live_vectors();
+        let queries = fixture(15, 36);
+        let (naive, _) = Naive.above_theta(&queries, &store, 1.0);
+        let mut expect: Vec<(u32, u32)> =
+            naive.iter().map(|en| (en.query, ids[en.probe as usize])).collect();
+        expect.sort_unstable();
+        assert_eq!(canonical_pairs(&e.above_theta(&queries, 1.0).entries), expect);
+        // A rebuild trains the compacted layout's codebook anew.
+        e.rebuild();
+        assert_ne!(stamp(&e), trained);
+        check_indexes_match_fresh_builds(&e);
     }
 
     #[test]
@@ -1269,14 +1341,8 @@ mod tests {
         let mut e = DynamicLemp::new(&probes, policy, config);
         let sample = fixture(12, 26);
         e.warm(&sample, crate::WarmGoal::TopK(3));
-        let warm_codebooks: Vec<Vec<f64>> = e
-            .buckets()
-            .buckets()
-            .iter()
-            .map(|b| b.indexes.quant.as_ref().unwrap().codebooks().to_vec())
-            .collect();
-        // Edits encode into the touched bucket's trained codebooks (and
-        // retrain only buckets that are new or drop below k probes).
+        let trained = stamp(&e);
+        // Edits encode into the engine's codebook, never train.
         e.insert(&[2.5; 8]).unwrap();
         assert!(e.remove(3));
         // Directions unlike the Gaussian fixture, at lengths the existing
@@ -1286,29 +1352,38 @@ mod tests {
             let len = kernels::norm(probes.vector(i * 7));
             let mut v = vec![0.0; 8];
             v[i % 8] = if i % 2 == 0 { len } else { -len };
-            let new = e.insert(&v).unwrap();
-            let (bi, _, _) = locate(&e, new);
-            let q = e.buckets().buckets()[bi].indexes.quant.as_ref().unwrap();
-            encoded += usize::from(warm_codebooks.iter().any(|cb| cb == q.codebooks()));
+            let count = e.bucket_count();
+            e.insert(&v).unwrap();
+            encoded += usize::from(e.bucket_count() == count);
         }
-        assert!(encoded >= 5, "only {encoded} probes encoded without training");
+        assert!(encoded >= 5, "only {encoded} probes encoded into existing buckets");
+        assert_eq!(stamp(&e), trained);
         assert!(
             e.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()),
-            "warm quantized engine must keep codebooks through edits"
+            "warm quantized engine must keep codes through edits"
         );
         check_indexes_match_fresh_builds(&e);
         let mut buf = Vec::new();
         e.write_to(&mut buf).unwrap();
-        assert_eq!(&buf[..8], b"LEMPDYN2");
+        assert_eq!(&buf[..8], b"LEMPDYN3");
         let mut loaded = DynamicLemp::read_from(&buf[..]).unwrap();
         check_invariants(&loaded);
         assert_eq!(loaded.config().quantize_bits, 8);
-        // The per-probe bounds are recomputed on load, equal to the ones
-        // the edits maintained.
+        // The codebook and codes are restored without training (a loaded
+        // codebook gets its own stamp); the per-probe bounds are
+        // recomputed on load, equal to the ones the edits maintained.
+        assert_eq!(loaded.buckets().codebook(), e.buckets().codebook());
+        assert_ne!(stamp(&loaded), trained);
         for (a, b) in loaded.buckets().buckets().iter().zip(e.buckets().buckets()) {
             assert_eq!(a.indexes.quant, b.indexes.quant, "quant state must round-trip");
         }
+        check_indexes_match_fresh_builds(&loaded);
+        assert_eq!(loaded.memory_usage(), e.memory_usage());
         assert!(loaded.memory_usage().quantized_bytes > 0);
+        // Warming the loaded engine keeps the loaded codebook.
+        let loaded_stamp = stamp(&loaded);
+        loaded.warm(&sample, crate::WarmGoal::TopK(3));
+        assert_eq!(stamp(&loaded), loaded_stamp);
         let queries = fixture(10, 27);
         let x = e.above_theta(&queries, 1.0);
         let y = loaded.above_theta(&queries, 1.0);

@@ -34,11 +34,12 @@ pub struct RunConfig {
     pub l2ap_topk_threshold: f64,
     /// Code width for the quantized bucket representation (`0` disables
     /// quantization; valid widths are `1..=16`). When enabled, `warm`
-    /// trains per-bucket codebooks and the tuner decides per bucket
-    /// whether the LUT scan or the variant's exact scan wins.
+    /// trains the engine's codebook, encodes every bucket against it, and
+    /// the tuner decides per bucket whether the LUT scan or the variant's
+    /// exact scan wins.
     pub quantize_bits: u8,
     /// Skips the tuner's LUT-vs-exact timing race and routes every bucket
-    /// with trained codebooks through the quantized scan. The per-bucket
+    /// with codes through the quantized scan. The per-bucket
     /// decision in `tune_quant` is measured wall-clock, so which buckets
     /// flip to QUANT varies with machine load; forcing it makes runs that
     /// must exercise the LUT kernel (benchmarks, smoke tests) reproducible.
@@ -74,16 +75,18 @@ pub struct BuildClock {
 }
 
 /// Returns whether `method` needs an index that `bucket` does not have yet.
+/// QUANT codes never build per bucket: they come engine-wide from
+/// [`crate::ProbeBuckets::ensure_quantized`] before the tuner can route a
+/// bucket to QUANT.
 pub(crate) fn needs_build(bucket: &Bucket, method: ResolvedMethod) -> bool {
     match method {
-        ResolvedMethod::Length => false,
+        ResolvedMethod::Length | ResolvedMethod::Quant => false,
         ResolvedMethod::Coord(_) => bucket.indexes.coord.is_none(),
         ResolvedMethod::Incr(_) => bucket.indexes.incr.is_none(),
         ResolvedMethod::Ta => bucket.indexes.ta.is_none(),
         ResolvedMethod::Tree => bucket.indexes.tree.is_none(),
         ResolvedMethod::L2ap => bucket.indexes.l2ap.is_none(),
         ResolvedMethod::Blsh => bucket.indexes.blsh.is_none(),
-        ResolvedMethod::Quant => bucket.indexes.quant.is_none(),
     }
 }
 
@@ -103,14 +106,13 @@ pub(crate) fn ensure_for(
     }
     let start = Instant::now();
     let built = match method {
-        ResolvedMethod::Length => false,
+        ResolvedMethod::Length | ResolvedMethod::Quant => false,
         ResolvedMethod::Coord(_) => bucket.ensure_coord(),
         ResolvedMethod::Incr(_) => bucket.ensure_incr(),
         ResolvedMethod::Ta => bucket.ensure_ta(),
         ResolvedMethod::Tree => bucket.ensure_tree(cfg.tree_base),
         ResolvedMethod::L2ap => bucket.ensure_l2ap(l2ap_t),
         ResolvedMethod::Blsh => bucket.ensure_blsh(cfg.blsh_bits, bucket_seed),
-        ResolvedMethod::Quant => bucket.ensure_quant(cfg.quantize_bits, bucket_seed),
     };
     if built {
         clock.ns += start.elapsed().as_nanos() as u64;
@@ -167,7 +169,7 @@ pub(crate) fn run_method(
             0
         }
         ResolvedMethod::Quant => {
-            let q = bucket.indexes.quant.as_ref().expect("QUANT codebooks trained");
+            let q = bucket.indexes.quant.as_ref().expect("QUANT codes encoded");
             crate::quant::run(ctx, bucket, q, &mut scratch.lut, &mut scratch.qscores, sink);
             0
         }
@@ -262,6 +264,23 @@ pub(crate) fn seed_topk(
     (k - need) as u64
 }
 
+/// Starts one Row-Top-k query: empties `top` and seeds it with the `k`
+/// longest probes ([`seed_topk`]), recording per bucket how many leading
+/// rows were pushed in `seed_counts`. The sweep then continues from the
+/// seeded heap, so each query seeds exactly once. Returns the seed dots.
+pub(crate) fn seed_query(
+    buckets: &[Bucket],
+    dir: &[f64],
+    k: usize,
+    top: &mut TopK,
+    seed_counts: &mut Vec<usize>,
+) -> u64 {
+    top.clear();
+    seed_counts.clear();
+    seed_counts.resize(buckets.len(), 0);
+    seed_topk(buckets, dir, k, top, |b, n| seed_counts[b] = n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,18 +315,6 @@ mod tests {
         assert_eq!(clock.built, 6); // everything except Length
         assert!(clock.ns > 0);
         assert!(!needs_build(bucket, ResolvedMethod::Tree));
-    }
-
-    #[test]
-    fn ensure_for_trains_quant_codebooks_once() {
-        let mut pb = one_bucket(80, 2);
-        let bucket = &mut pb.buckets_mut()[0];
-        let cfg = RunConfig { quantize_bits: 8, ..Default::default() };
-        let mut clock = BuildClock::default();
-        ensure_for(bucket, ResolvedMethod::Quant, 0.5, &cfg, 7, &mut clock);
-        ensure_for(bucket, ResolvedMethod::Quant, 0.5, &cfg, 7, &mut clock); // idempotent
-        assert_eq!(clock.built, 1);
-        assert!(!needs_build(bucket, ResolvedMethod::Quant));
     }
 
     #[test]

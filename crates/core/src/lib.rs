@@ -278,9 +278,10 @@ impl LempBuilder {
 
     /// Enables quantized probe buckets with `bits`-wide PQ codes
     /// (1..=16; 0 disables, the default). When enabled, [`Lemp::warm`]
-    /// trains per-bucket subspace codebooks and the tuner may route bucket
-    /// scans through the LUT kernel; every candidate is re-verified against
-    /// the full-precision vectors, so results stay exact.
+    /// trains the engine's subspace codebook, encodes every bucket against
+    /// it, and the tuner may route bucket scans through the LUT kernel;
+    /// every candidate is re-verified against the full-precision vectors,
+    /// so results stay exact.
     ///
     /// # Panics
     /// If `bits > 16` — use the CLI/service layers for non-panicking
@@ -291,8 +292,8 @@ impl LempBuilder {
         self
     }
 
-    /// Forces the quantized LUT scan on every bucket with trained
-    /// codebooks instead of letting the tuner time LUT vs exact (see
+    /// Forces the quantized LUT scan on every bucket with codes instead
+    /// of letting the tuner time LUT vs exact (see
     /// [`RunConfig::quantize_force`]). No effect without
     /// [`quantize`](Self::quantize).
     pub fn quantize_force(mut self, force: bool) -> Self {
@@ -335,8 +336,9 @@ impl Lemp {
     }
 
     /// Probe-side memory residency: full-precision bytes vs quantized
-    /// bytes across all buckets (the quantized side is 0 until codebooks
-    /// are trained — i.e. before a warm-up with quantization enabled).
+    /// bytes across all buckets (the quantized side is 0 until the
+    /// codebook is trained — i.e. before a warm-up with quantization
+    /// enabled).
     pub fn memory_usage(&self) -> MemoryUsage {
         self.buckets.memory_usage()
     }
@@ -984,6 +986,27 @@ mod tests {
         // The floor prunes every bucket after seeding: only the k warm-up
         // inner products per query are ever computed.
         assert!(out.stats.counters.candidates <= (4 * q.len()) as u64);
+    }
+
+    #[test]
+    fn lazy_and_warmed_top_k_agree_on_lists_and_candidates() {
+        // LEMP-L is never tuned, so the lazy driver (seeding each query
+        // once, then indexing lazily) and the warmed one run the same
+        // sweep: same lists, same candidates, the k seed dots counted once.
+        let (q, p) = data(40, 300, 1.0, 1500);
+        for (k, floor) in [(1, f64::NEG_INFINITY), (5, f64::NEG_INFINITY), (5, 0.5), (400, -1.0)] {
+            let mut lazy = Lemp::builder().variant(LempVariant::L).build(&p);
+            let a = lazy.row_top_k_with_floor(&q, k, floor);
+            let mut warmed = Lemp::builder().variant(LempVariant::L).build(&p);
+            warmed.warm(&q, WarmGoal::TopK(k));
+            let mut scratch = warmed.make_scratch();
+            let b = warmed.row_top_k_with_floor_shared(&q, k, floor, &mut scratch);
+            assert!(topk_equivalent(&a.lists, &b.lists, 0.0), "k={k} floor={floor}");
+            assert_eq!(a.stats.counters.candidates, b.stats.counters.candidates, "k={k}");
+            // Every query pays at least its k seed dots.
+            let seeds = (q.len() * k.min(p.len())) as u64;
+            assert!(a.stats.counters.candidates >= seeds, "k={k}");
+        }
     }
 
     #[test]

@@ -20,31 +20,43 @@
 //!                                            lazy anyway, Sec. 4.2)
 //! ```
 //!
-//! # The quantized section (version 2)
+//! # The quantized section (version 3)
 //!
 //! Engines built with quantization ([`crate::LempBuilder::quantize`])
-//! persist under the `LEMPENG2` magic: the byte-identical version-1
+//! persist under the `LEMPENG3` magic: the byte-identical version-1
 //! layout followed by one **quantized section** —
 //!
 //! ```text
 //! quantize_bits                             u8, 1..=16
-//! per bucket: present flag (u8);            0 = codebooks not trained yet
-//!   if present: bits (u8), sub_dim, k,      (re-train at the next warm)
-//!   m·k·sub_dim codebook doubles,
-//!   m·n packed codes (u8 per code ≤ 8 bits, u16 above)
+//! codebook flag                             u8: 0 = not trained yet (the
+//!                                           section ends; the next warm
+//!                                           trains it), 1 = present
+//! if present: sub_dim, k,                   the engine's one codebook
+//!   m·k·sub_dim centroid doubles
+//!   per bucket: present flag (u8);
+//!     if present: m·n packed codes          (u8 per code ≤ 8 bits, u16 above)
 //! ```
 //!
 //! **Backward-compat rule**: an engine with quantization *off* writes the
 //! `LEMPENG1` bytes unchanged — old readers keep working and images diff
-//! clean — while readers accept both magics, so legacy images load into
-//! quantization-aware builds (and re-train codebooks at the next warm if
-//! quantization is then enabled). The same rule applies to the dynamic
-//! format (`LEMPDYN1`/`LEMPDYN2`, see [`crate::dynamic`]); sharded
-//! manifests inherit it through their embedded per-shard dynamic images.
-//! Loading validates every shape and code index of the section
-//! ([`crate::quant::QuantizedBucket::from_parts`]) and **recomputes** the
-//! distortion bound `eps` from the full-precision directions — a tampered
-//! image can corrupt the codebooks but never the exactness contract.
+//! clean — while readers accept every version, so legacy images load into
+//! quantization-aware builds. The same rule applies to the dynamic format
+//! (`LEMPDYN1`/`LEMPDYN3`, see [`crate::dynamic`]); sharded manifests keep
+//! the `LEMPSHD2` magic and inherit the rule through their embedded
+//! per-shard dynamic images. Loading validates every shape and code index
+//! of the section ([`crate::quant::Codebook::from_parts`],
+//! [`crate::quant::QuantizedBucket::from_codes`]) and **recomputes** the
+//! per-probe distortion bounds from the full-precision directions — a
+//! tampered image can corrupt the codebook but never the exactness
+//! contract. A loaded codebook is used as is: nothing retrains.
+//!
+//! **Version 2** (`LEMPENG2`/`LEMPDYN2`) stored a codebook per bucket:
+//! per bucket a present flag and, if present, `bits (u8), sub_dim, k`,
+//! `m·k·sub_dim` codebook doubles and `m·n` packed codes. Such images still
+//! load: their sections are parsed and validated like kept ones, then
+//! dropped, and the next warm-up trains the engine's shared codebook. Warm
+//! state is never persisted, so nothing serves QUANT before that warm-up.
+//! No writer produces version 2 any more.
 //!
 //! All integers are little-endian `u64` (`u32` for ids), floats are IEEE
 //! `f64` bits, so files are portable across platforms. Loading validates
@@ -89,8 +101,9 @@
 //!
 //! # The shared codec
 //!
-//! Every on-disk format in the LEMP family — `LEMPENG1`, `LEMPSHD1`/
-//! `LEMPSHD2`, `LEMPDYN1` and the `lemp-store` durability files
+//! Every on-disk format in the LEMP family — `LEMPENG1`/`LEMPENG3`,
+//! `LEMPSHD1`/`LEMPSHD2`, `LEMPDYN1`/`LEMPDYN3` and the `lemp-store`
+//! durability files
 //! (`LEMPWAL1` write-ahead segments, their `CHECKPOINT` marker, and the
 //! `LEMPSHM1` root manifest) — is built from the same four primitives:
 //! little-endian `u64`, IEEE-bits `f64`, and the truncation-aware
@@ -113,17 +126,20 @@
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use lemp_linalg::VectorStore;
 
 use crate::bucket::{Bucket, ProbeBuckets};
 use crate::exec::RunConfig;
-use crate::quant::{QuantCodes, QuantizedBucket, MAX_QUANT_BITS};
+use crate::quant::{Codebook, QuantCodes, QuantizedBucket, MAX_QUANT_BITS};
 use crate::variant::LempVariant;
 use crate::Lemp;
 
 const MAGIC: &[u8; 8] = b"LEMPENG1";
+/// Quantized images with per-bucket codebooks: read, never written.
 const MAGIC2: &[u8; 8] = b"LEMPENG2";
+const MAGIC3: &[u8; 8] = b"LEMPENG3";
 
 /// Errors raised by engine persistence.
 #[derive(Debug)]
@@ -350,27 +366,57 @@ pub(crate) fn read_bucket_section<R: Read>(r: &mut R) -> Result<ProbeBuckets, Pe
     Ok(ProbeBuckets::from_parts(dim, total, buckets))
 }
 
-/// Writes the quantized section (see the module docs): the configured code
-/// width, then per bucket a present flag and — when codebooks are trained —
-/// the full quantized representation. `eps` is deliberately *not* stored;
-/// readers recompute it from the directions.
+/// Which quantized section an image carries, told by its magic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum QuantSection {
+    /// Version 1: quantization off, no section.
+    Off,
+    /// Version 2: per-bucket codebooks. Read and validated, then dropped.
+    PerBucket,
+    /// Version 3: one codebook plus per-bucket codes.
+    Shared,
+}
+
+/// Tells an image's version from its magic, given the format's version-1,
+/// -2 and -3 magics.
+pub(crate) fn quant_section_of(
+    magic: &[u8; 8],
+    family: [&[u8; 8]; 3],
+) -> Result<QuantSection, PersistError> {
+    match family.iter().position(|m| *m == magic) {
+        Some(0) => Ok(QuantSection::Off),
+        Some(1) => Ok(QuantSection::PerBucket),
+        Some(2) => Ok(QuantSection::Shared),
+        _ => Err(PersistError::Format(format!("bad magic {magic:?}"))),
+    }
+}
+
+/// Writes the version-3 quantized section (see the module docs): the
+/// configured code width, the engine's codebook if trained, then per
+/// bucket a present flag and its packed codes. The per-probe bounds are
+/// deliberately *not* stored; readers recompute them from the directions.
 pub(crate) fn write_quant_section<W: Write>(
     w: &mut W,
     quantize_bits: u8,
     buckets: &ProbeBuckets,
 ) -> Result<(), PersistError> {
     w.write_all(&[quantize_bits])?;
+    let Some(cb) = buckets.codebook() else {
+        w.write_all(&[0u8])?;
+        return Ok(());
+    };
+    w.write_all(&[1u8])?;
+    write_u64(w, cb.sub_dim() as u64)?;
+    write_u64(w, cb.k() as u64)?;
+    for &x in cb.centroids() {
+        write_f64(w, x)?;
+    }
     for bucket in buckets.buckets() {
         let Some(q) = &bucket.indexes.quant else {
             w.write_all(&[0u8])?;
             continue;
         };
-        w.write_all(&[1u8, q.bits()])?;
-        write_u64(w, q.sub_dim() as u64)?;
-        write_u64(w, q.k() as u64)?;
-        for &x in q.codebooks() {
-            write_f64(w, x)?;
-        }
+        w.write_all(&[1u8])?;
         match q.codes() {
             QuantCodes::U8(codes) => w.write_all(codes)?,
             QuantCodes::U16(codes) => {
@@ -383,96 +429,143 @@ pub(crate) fn write_quant_section<W: Write>(
     Ok(())
 }
 
-/// Reads and validates a quantized section written by
-/// [`write_quant_section`], attaching the reconstructed
-/// [`QuantizedBucket`]s to `buckets` and returning the configured code
-/// width. All shape/code validation and the `eps` recomputation happen in
-/// [`QuantizedBucket::from_parts`] — a corrupted section becomes a
-/// [`PersistError::Format`], never a panic or an oversized allocation.
+/// Capacity hint cap: a corrupted count must not size an allocation
+/// before the bytes backing it have been read.
+const CAP_HINT: usize = 1 << 16;
+
+fn read_byte<R: Read>(r: &mut R, what: &str) -> Result<u8, PersistError> {
+    let mut byte = [0u8; 1];
+    r.read_exact(&mut byte)
+        .map_err(|_| PersistError::Format(format!("truncated while reading {what}")))?;
+    Ok(byte[0])
+}
+
+/// Reads a present flag: 0 or 1.
+fn read_flag<R: Read>(r: &mut R, what: &str) -> Result<bool, PersistError> {
+    match read_byte(r, what)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(PersistError::Format(format!("{what} {other} is neither 0 nor 1"))),
+    }
+}
+
+/// Reads a code width in `1..=16`.
+fn read_bits<R: Read>(r: &mut R, what: &str) -> Result<u8, PersistError> {
+    let bits = read_byte(r, what)?;
+    if bits == 0 || bits > MAX_QUANT_BITS {
+        return Err(PersistError::Format(format!("{what} {bits} outside 1..=16")));
+    }
+    Ok(bits)
+}
+
+/// Reads `m · k` centroids of `sub_dim` doubles for directions of
+/// dimensionality `dim`, checking the shape before sizing any read: a
+/// corrupted `sub_dim` or `k` must not drive a huge (or zero-divisor)
+/// element count.
+fn read_codebook<R: Read>(
+    r: &mut R,
+    bits: u8,
+    dim: usize,
+    max_k: usize,
+) -> Result<Codebook, PersistError> {
+    let sub_dim = read_u64(r, "quant sub_dim")? as usize;
+    let k = read_u64(r, "quant k")? as usize;
+    if sub_dim == 0 || sub_dim > dim {
+        return Err(PersistError::Format(format!("quant sub_dim {sub_dim} invalid for dim {dim}")));
+    }
+    if k == 0 || k > max_k {
+        return Err(PersistError::Format(format!("quant k {k} invalid (at most {max_k})")));
+    }
+    let cb_len = dim
+        .div_ceil(sub_dim)
+        .checked_mul(k)
+        .and_then(|x| x.checked_mul(sub_dim))
+        .ok_or_else(|| PersistError::Format("codebook size overflows".into()))?;
+    let mut centroids = Vec::with_capacity(cb_len.min(CAP_HINT));
+    for _ in 0..cb_len {
+        centroids.push(read_f64(r, "quant codebook")?);
+    }
+    Codebook::from_parts(bits, sub_dim, k, centroids, dim).map_err(PersistError::Format)
+}
+
+/// Reads `bucket`'s packed codes against `codebook`; validation (code
+/// range, shape) and the bound recomputation happen in
+/// [`QuantizedBucket::from_codes`].
+fn read_codes<R: Read>(
+    r: &mut R,
+    codebook: &Arc<Codebook>,
+    bucket: &Bucket,
+) -> Result<QuantizedBucket, PersistError> {
+    let count = codebook
+        .subspaces()
+        .checked_mul(bucket.len())
+        .ok_or_else(|| PersistError::Format("code count overflows".into()))?;
+    let codes = if codebook.bits() <= 8 {
+        let mut v = Vec::with_capacity(count.min(CAP_HINT));
+        for _ in 0..count {
+            v.push(read_byte(r, "quant codes")?);
+        }
+        QuantCodes::U8(v)
+    } else {
+        let mut v = Vec::with_capacity(count.min(CAP_HINT));
+        let mut two = [0u8; 2];
+        for _ in 0..count {
+            r.read_exact(&mut two)
+                .map_err(|_| PersistError::Format("truncated while reading quant codes".into()))?;
+            v.push(u16::from_le_bytes(two));
+        }
+        QuantCodes::U16(v)
+    };
+    QuantizedBucket::from_codes(Arc::clone(codebook), codes, &bucket.dirs)
+        .map_err(PersistError::Format)
+}
+
+/// Reads and validates the quantized section of an image of the given
+/// version and returns the configured code width (`0` for version 1,
+/// which has none). Version 3 attaches the engine's codebook and the
+/// buckets' codes; a version-2 section is parsed and validated like one
+/// that is kept, then dropped — the next warm-up trains the shared
+/// codebook. A corrupted section becomes a [`PersistError::Format`], never
+/// a panic or an oversized allocation.
 pub(crate) fn read_quant_section<R: Read>(
     r: &mut R,
     buckets: &mut ProbeBuckets,
+    version: QuantSection,
 ) -> Result<u8, PersistError> {
-    const CAP_HINT: usize = 1 << 16;
-    let mut byte = [0u8; 1];
-    r.read_exact(&mut byte)
-        .map_err(|_| PersistError::Format("truncated while reading quantize_bits".into()))?;
-    let quantize_bits = byte[0];
-    if quantize_bits == 0 || quantize_bits > MAX_QUANT_BITS {
-        return Err(PersistError::Format(format!("quantize_bits {quantize_bits} outside 1..=16")));
+    if version == QuantSection::Off {
+        return Ok(0);
     }
+    let quantize_bits = read_bits(r, "quantize_bits")?;
+    let dim = buckets.dim();
+    if version == QuantSection::PerBucket {
+        for (b, bucket) in buckets.buckets().iter().enumerate() {
+            let at = |e: PersistError| match e {
+                PersistError::Format(msg) => PersistError::Format(format!("bucket {b}: {msg}")),
+                other => other,
+            };
+            if !read_flag(r, "quant flag").map_err(at)? {
+                continue;
+            }
+            let bits = read_bits(r, "quant bits").map_err(at)?;
+            let codebook = Arc::new(read_codebook(r, bits, dim, bucket.len()).map_err(at)?);
+            read_codes(r, &codebook, bucket).map_err(at)?;
+        }
+        return Ok(quantize_bits);
+    }
+    if !read_flag(r, "codebook flag")? {
+        return Ok(quantize_bits);
+    }
+    let codebook = Arc::new(read_codebook(r, quantize_bits, dim, 1 << quantize_bits)?);
     for (b, bucket) in buckets.buckets_vec_mut().iter_mut().enumerate() {
-        r.read_exact(&mut byte)
-            .map_err(|_| PersistError::Format(format!("bucket {b}: truncated quant flag")))?;
-        match byte[0] {
-            0 => continue,
-            1 => {}
-            other => {
-                return Err(PersistError::Format(format!(
-                    "bucket {b}: quant flag {other} is neither 0 nor 1"
-                )))
-            }
-        }
-        r.read_exact(&mut byte)
-            .map_err(|_| PersistError::Format(format!("bucket {b}: truncated quant bits")))?;
-        let bits = byte[0];
-        if bits == 0 || bits > MAX_QUANT_BITS {
-            return Err(PersistError::Format(format!(
-                "bucket {b}: quant bits {bits} outside 1..=16"
-            )));
-        }
-        let sub_dim = read_u64(r, "quant sub_dim")? as usize;
-        let k = read_u64(r, "quant k")? as usize;
-        // Shape sanity *before* sizing any read: a corrupted sub_dim or k
-        // must not drive a huge (or zero-divisor) element count.
-        let n = bucket.len();
-        let dim = bucket.dirs.dim();
-        if sub_dim == 0 || sub_dim > dim {
-            return Err(PersistError::Format(format!(
-                "bucket {b}: quant sub_dim {sub_dim} invalid for dim {dim}"
-            )));
-        }
-        if k == 0 || k > n {
-            return Err(PersistError::Format(format!(
-                "bucket {b}: quant k {k} invalid for {n} probes"
-            )));
-        }
-        let m = dim.div_ceil(sub_dim);
-        let cb_len = m
-            .checked_mul(k)
-            .and_then(|x| x.checked_mul(sub_dim))
-            .ok_or_else(|| PersistError::Format(format!("bucket {b}: codebook size overflows")))?;
-        let mut codebooks = Vec::with_capacity(cb_len.min(CAP_HINT));
-        for _ in 0..cb_len {
-            codebooks.push(read_f64(r, "quant codebook")?);
-        }
-        let code_count = m
-            .checked_mul(n)
-            .ok_or_else(|| PersistError::Format(format!("bucket {b}: code count overflows")))?;
-        let codes = if bits <= 8 {
-            let mut v = Vec::with_capacity(code_count.min(CAP_HINT));
-            for _ in 0..code_count {
-                r.read_exact(&mut byte).map_err(|_| {
-                    PersistError::Format(format!("bucket {b}: truncated quant codes"))
-                })?;
-                v.push(byte[0]);
-            }
-            QuantCodes::U8(v)
-        } else {
-            let mut v = Vec::with_capacity(code_count.min(CAP_HINT));
-            let mut two = [0u8; 2];
-            for _ in 0..code_count {
-                r.read_exact(&mut two).map_err(|_| {
-                    PersistError::Format(format!("bucket {b}: truncated quant codes"))
-                })?;
-                v.push(u16::from_le_bytes(two));
-            }
-            QuantCodes::U16(v)
+        let at = |e: PersistError| match e {
+            PersistError::Format(msg) => PersistError::Format(format!("bucket {b}: {msg}")),
+            other => other,
         };
-        let q = QuantizedBucket::from_parts(bits, sub_dim, k, codebooks, codes, &bucket.dirs)
-            .map_err(|e| PersistError::Format(format!("bucket {b}: {e}")))?;
-        bucket.indexes.quant = Some(q);
+        if read_flag(r, "quant flag").map_err(at)? {
+            bucket.indexes.quant = Some(read_codes(r, &codebook, bucket).map_err(at)?);
+        }
     }
+    buckets.set_codebook(codebook);
     Ok(quantize_bits)
 }
 
@@ -499,9 +592,9 @@ impl Lemp {
     pub fn write_to<W: Write>(&self, writer: W) -> Result<(), PersistError> {
         let mut w = BufWriter::new(writer);
         // Backward-compat rule: quantization off → byte-identical LEMPENG1
-        // image; on → LEMPENG2 with the quantized section appended.
+        // image; on → LEMPENG3 with the quantized section appended.
         let quantized = self.config.quantize_bits > 0;
-        w.write_all(if quantized { MAGIC2 } else { MAGIC })?;
+        w.write_all(if quantized { MAGIC3 } else { MAGIC })?;
         write_config(&mut w, &self.config)?;
         write_bucket_section(&mut w, &self.buckets)?;
         if quantized {
@@ -530,16 +623,10 @@ impl Lemp {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)
             .map_err(|_| PersistError::Format("file too short for magic".into()))?;
-        let quantized = match &magic {
-            m if m == MAGIC => false,
-            m if m == MAGIC2 => true,
-            _ => return Err(PersistError::Format(format!("bad magic {magic:?}"))),
-        };
+        let version = quant_section_of(&magic, [MAGIC, MAGIC2, MAGIC3])?;
         let mut config = read_config(&mut r)?;
         let mut buckets = read_bucket_section(&mut r)?;
-        if quantized {
-            config.quantize_bits = read_quant_section(&mut r, &mut buckets)?;
-        }
+        config.quantize_bits = read_quant_section(&mut r, &mut buckets, version)?;
         expect_eof(&mut r)?;
         Ok(Lemp::from_parts(buckets, config))
     }
@@ -667,20 +754,83 @@ mod tests {
         let (q, p) = fixture();
         let mut original =
             Lemp::builder().variant(LempVariant::LI).sample_size(7).quantize(8).build(&p);
-        original.warm(&q, crate::WarmGoal::TopK(3)); // trains codebooks
+        original.warm(&q, crate::WarmGoal::TopK(3)); // trains the codebook
         assert!(
             original.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()),
-            "warm with quantize=8 must train every bucket"
+            "warm with quantize=8 must encode every bucket"
         );
         let mut buf = Vec::new();
         original.write_to(&mut buf).unwrap();
-        assert_eq!(&buf[..8], b"LEMPENG2");
-        let loaded = Lemp::read_from(&buf[..]).unwrap();
+        assert_eq!(&buf[..8], b"LEMPENG3");
+        let mut loaded = Lemp::read_from(&buf[..]).unwrap();
         assert_eq!(loaded.config().quantize_bits, 8);
+        assert_eq!(loaded.buckets().codebook(), original.buckets().codebook());
         for (a, b) in loaded.buckets().buckets().iter().zip(original.buckets().buckets()) {
-            assert_eq!(a.indexes.quant, b.indexes.quant, "codebooks/codes/eps must round-trip");
+            assert_eq!(a.indexes.quant, b.indexes.quant, "codebook/codes/eps must round-trip");
         }
+        assert_eq!(loaded.memory_usage(), original.memory_usage());
         assert!(loaded.memory_usage().quantized_bytes > 0);
+        // Warming the loaded engine neither trains nor re-encodes: it
+        // builds only each bucket's two sorted-list indexes.
+        let stamp = loaded.buckets().codebook().unwrap().stamp();
+        let built = loaded.warm(&q, crate::WarmGoal::TopK(3)).indexes_built;
+        assert_eq!(built, 2 * loaded.buckets().bucket_count() as u64);
+        assert_eq!(loaded.buckets().codebook().unwrap().stamp(), stamp);
+    }
+
+    #[test]
+    fn version2_images_load_and_retrain_at_warm_up() {
+        use lemp_baselines::Naive;
+        // Written by a warmed `Lemp::builder().sample_size(8).quantize(4)`
+        // engine over `gaussian(300, 8, 1.0).generate(2323)` under the
+        // per-bucket-codebook format (LEMPENG2), its sections populated.
+        let image = include_bytes!("../tests/fixtures/v2-static-q4.eng");
+        assert_eq!(&image[..8], b"LEMPENG2");
+        let p = GeneratorConfig::gaussian(300, 8, 1.0).generate(2323);
+        let q = GeneratorConfig::gaussian(40, 8, 1.0).generate(2325);
+        let mut loaded = Lemp::read_from(&image[..]).unwrap();
+        assert_eq!(loaded.config().quantize_bits, 4);
+        assert_eq!(loaded.buckets().total(), 300);
+        // The per-bucket sections are validated, then dropped: nothing is
+        // quantized until the warm-up trains the shared codebook.
+        assert!(loaded.buckets().codebook().is_none());
+        assert!(loaded.buckets().buckets().iter().all(|b| b.indexes.quant.is_none()));
+        assert_eq!(loaded.memory_usage().quantized_bytes, 0);
+        loaded.warm(&q, crate::WarmGoal::TopK(5));
+        assert!(loaded.buckets().codebook().is_some());
+        assert!(loaded.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()));
+        let mut forced = Lemp::read_from(&image[..]).unwrap();
+        forced.config.quantize_force = true;
+        forced.warm(&q, crate::WarmGoal::TopK(5));
+        // Row-Top-k reports `q̄ᵀp·‖q‖`, which can round one ulp away from
+        // Naive's `qᵀp`: ranks must match Naive, scores an exact engine's
+        // bit for bit. Above-θ values are bit-identical to Naive's.
+        let mut exact = Lemp::builder().sample_size(8).build(&p);
+        let lists = |lists: &crate::TopKLists| -> Vec<Vec<(usize, u64)>> {
+            lists.iter().map(|l| l.iter().map(|s| (s.id, s.score.to_bits())).collect()).collect()
+        };
+        for engine in [&mut loaded, &mut forced] {
+            for k in [1, 5, 17] {
+                let (expect, _) = Naive.row_top_k(&q, &p, k);
+                let got = engine.row_top_k(&q, k);
+                assert!(topk_equivalent(&got.lists, &expect, 1e-9), "k={k}");
+                assert_eq!(lists(&got.lists), lists(&exact.row_top_k(&q, k).lists), "k={k}");
+            }
+            let (expect, _) = Naive.above_theta(&q, &p, 1.5);
+            let got = engine.above_theta(&q, 1.5);
+            let bits = |es: &[crate::Entry]| {
+                let mut v: Vec<(u32, u32, u64)> =
+                    es.iter().map(|e| (e.query, e.probe, e.value.to_bits())).collect();
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(bits(&got.entries), bits(&expect));
+        }
+        assert!(forced.row_top_k(&q, 5).stats.method_mix.quant > 0, "QUANT must run");
+        // Saving writes the current version.
+        let mut buf = Vec::new();
+        forced.write_to(&mut buf).unwrap();
+        assert_eq!(&buf[..8], b"LEMPENG3");
     }
 
     #[test]
@@ -722,7 +872,8 @@ mod tests {
         assert!(err.to_string().contains("1..=16"), "unexpected error: {err}");
 
         // Bit-flip a code byte to an out-of-range index: the *last* byte
-        // of the image is a code (codes close each bucket's record).
+        // of the image is a code (codes close each bucket's record; this
+        // 200-probe engine's codebook holds fewer than 255 centroids).
         let mut bad = buf.clone();
         *bad.last_mut().unwrap() = u8::MAX;
         let err = Lemp::read_from(&bad[..]).unwrap_err();
@@ -732,7 +883,7 @@ mod tests {
         // value is a legal centroid) but the recomputed eps still covers
         // the damage, so answers stay exact.
         let mut bent = buf.clone();
-        let cb_at = legacy_len + 1 + 2 + 16; // flag, bits, sub_dim, k of bucket 0
+        let cb_at = legacy_len + 2 + 16; // bits, codebook flag, sub_dim, k
         bent[cb_at..cb_at + 8].copy_from_slice(&7.5f64.to_le_bytes());
         let mut loaded = Lemp::read_from(&bent[..]).unwrap();
         loaded.warm(&q, crate::WarmGoal::Above(1.0));

@@ -28,7 +28,7 @@ use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
 use crate::exec::{
-    ensure_for, run_method, seed_topk, verify_above, verify_topk, BuildClock, RunConfig,
+    ensure_for, run_method, seed_query, verify_above, verify_topk, BuildClock, RunConfig,
 };
 use crate::query::QueryBatch;
 use crate::tuner::{self, TuneGoal, Tuning};
@@ -503,7 +503,7 @@ pub(crate) fn above_theta_prepared(
 /// layouts (COORD and INCR), which the adaptive arm menu draws from. The
 /// cache budget already accounts for the two sorted-list layouts
 /// ([`crate::BucketPolicy::max_bucket`]), so this stays within the paper's
-/// cache model.
+/// cache model. QUANT codes are engine-wide ([`prebuild_all`]).
 pub(crate) fn warm_bucket(
     bucket: &mut Bucket,
     params: &TunedParams,
@@ -516,12 +516,6 @@ pub(crate) fn warm_bucket(
     }
     let method = ensure_method(cfg.variant, params, 1.0);
     ensure_for(bucket, method, cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
-    if cfg.quantize_bits > 0 {
-        // Quantized codebooks train at warm regardless of the tuner's
-        // per-bucket pick, so reloads/plan refreshes never train on the
-        // query path and `/stats` residency is observable right away.
-        ensure_for(bucket, ResolvedMethod::Quant, cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
-    }
     ensure_for(bucket, ResolvedMethod::Coord(1), cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
     if bucket.dirs.dim() > 1 {
         ensure_for(
@@ -536,13 +530,17 @@ pub(crate) fn warm_bucket(
 }
 
 /// Warms every bucket (see [`warm_bucket`]); `per_bucket` must be aligned
-/// with the bucket list.
+/// with the bucket list. With quantization on, the engine's codebook trains
+/// here if the tuner has not trained it, regardless of the tuner's
+/// per-bucket picks, so reloads and plan refreshes never train on the query
+/// path and `/stats` residency is observable right away.
 pub(crate) fn prebuild_all(
     buckets: &mut ProbeBuckets,
     cfg: &RunConfig,
     per_bucket: &[TunedParams],
     clock: &mut BuildClock,
 ) {
+    buckets.ensure_quantized(cfg.quantize_bits, clock);
     for (b, (bucket, params)) in buckets.buckets_mut().iter_mut().zip(per_bucket).enumerate() {
         warm_bucket(bucket, params, cfg, cfg_seed(cfg, b), clock);
     }
@@ -568,15 +566,15 @@ fn floor_scaled_for(floor: f64, qlen: f64) -> f64 {
     fl - 1e-12 * fl.abs()
 }
 
-/// One Row-Top-k query over pre-built buckets (shared by the serial and
-/// parallel drivers). Returns the top-k list (original probe ids).
-/// `floor_scaled` raises the running `θ′` from below (Row-Top-k with a
-/// score floor; `−∞` for the plain problem).
+/// The bucket sweep of one Row-Top-k query over pre-built buckets (shared
+/// by the serial and parallel drivers), continuing from the heap
+/// [`seed_query`] seeded with the k longest probes (Sec. 4.5). Returns the
+/// top-k list (original probe ids). `floor_scaled` raises the running `θ′`
+/// from below (Row-Top-k with a score floor; `−∞` for the plain problem).
 #[allow(clippy::too_many_arguments)]
-fn topk_one_query(
+fn topk_sweep(
     buckets: &[Bucket],
     dir: &[f64],
-    k: usize,
     floor_scaled: f64,
     variant: LempVariant,
     per_bucket: &[TunedParams],
@@ -584,15 +582,10 @@ fn topk_one_query(
     scratch: &mut MethodScratch,
     sink: &mut Sink,
     top: &mut TopK,
-    seed_counts: &mut Vec<usize>,
+    seed_counts: &[usize],
     counters: &mut RetrievalCounters,
     mix: &mut MethodMix,
 ) -> Vec<lemp_linalg::ScoredItem> {
-    top.clear();
-    seed_counts.clear();
-    seed_counts.resize(buckets.len(), 0);
-    // Warm-up: the k longest probes seed θ′ (Sec. 4.5).
-    counters.candidates += seed_topk(buckets, dir, k, top, |b, n| seed_counts[b] = n);
     let mut theta = top.threshold().max(floor_scaled);
     for (b, bucket) in buckets.iter().enumerate() {
         if local_threshold(theta, 1.0, bucket.max_len) > 1.0 + 1e-12 {
@@ -745,13 +738,14 @@ fn serial_topk(
     let mut sink = Sink::default();
     let mut top = TopK::new(k);
     let mut seed_counts: Vec<usize> = Vec::new();
-    // Lazy index construction: before each query sweep, make sure the
-    // buckets this query *may* reach are indexed. θ′ after seeding can only
+    // Lazy index construction: after seeding each query, make sure the
+    // buckets its sweep *may* reach are indexed. θ′ after seeding can only
     // grow, so a bucket pruned at seed time stays pruned.
     for qi in 0..batch.len() {
         let dir = batch.dirs.vector(qi);
         let floor_scaled = floor_scaled_for(floor, batch.lengths[qi]);
-        let theta_seed = tuner::seed_threshold(buckets, dir, k).max(floor_scaled);
+        counters.candidates += seed_query(buckets.buckets(), dir, k, &mut top, &mut seed_counts);
+        let theta_seed = top.threshold().max(floor_scaled);
         for b in 0..buckets.bucket_count() {
             let bucket = &mut buckets.buckets_mut()[b];
             if bucket.max_len <= 0.0 {
@@ -767,25 +761,41 @@ fn serial_topk(
             let method = ensure_method(cfg.variant, &tuning.per_bucket[b], 1.0);
             ensure_for(bucket, method, cfg.l2ap_topk_threshold, cfg, cfg_seed(cfg, b), clock);
         }
-        topk_range(
+        let list = topk_sweep(
             buckets.buckets(),
-            batch,
-            qi,
-            qi + 1,
-            k,
-            floor,
+            dir,
+            floor_scaled,
             cfg.variant,
             &tuning.per_bucket,
             blsh_table,
             scratch,
             &mut sink,
             &mut top,
-            &mut seed_counts,
+            &seed_counts,
             counters,
             mix,
-            |qid, list| lists[qid as usize] = list,
         );
+        lists[batch.ids[qi] as usize] = finish_list(list, batch.lengths[qi], floor);
     }
+}
+
+/// Scales a swept list back to true inner products and applies the floor.
+fn finish_list(
+    mut list: Vec<lemp_linalg::ScoredItem>,
+    qlen: f64,
+    floor: f64,
+) -> Vec<lemp_linalg::ScoredItem> {
+    // The driver works with ‖q‖ = 1 (Sec. 4.5); report true inner
+    // products by scaling back (the ranking is scale-invariant).
+    for item in &mut list {
+        item.score *= qlen;
+    }
+    if floor > f64::NEG_INFINITY {
+        // The heap may still hold below-floor warm-up seeds; the API
+        // guarantees every reported value is ≥ floor.
+        list.retain(|item| item.score >= floor);
+    }
+    list
 }
 
 /// Runs the queries `[lo, hi)` of the sorted batch over pre-built buckets,
@@ -812,12 +822,12 @@ fn topk_range<F: FnMut(u32, Vec<lemp_linalg::ScoredItem>)>(
     mut emit: F,
 ) {
     for qi in lo..hi {
-        let floor_scaled = floor_scaled_for(floor, batch.lengths[qi]);
-        let mut list = topk_one_query(
+        let dir = batch.dirs.vector(qi);
+        counters.candidates += seed_query(buckets, dir, k, top, seed_counts);
+        let list = topk_sweep(
             buckets,
-            batch.dirs.vector(qi),
-            k,
-            floor_scaled,
+            dir,
+            floor_scaled_for(floor, batch.lengths[qi]),
             variant,
             per_bucket,
             blsh_table,
@@ -828,17 +838,7 @@ fn topk_range<F: FnMut(u32, Vec<lemp_linalg::ScoredItem>)>(
             counters,
             mix,
         );
-        // The driver works with ‖q‖ = 1 (Sec. 4.5); report true inner
-        // products by scaling back (the ranking is scale-invariant).
-        for item in &mut list {
-            item.score *= batch.lengths[qi];
-        }
-        if floor > f64::NEG_INFINITY {
-            // The heap may still hold below-floor warm-up seeds; the API
-            // guarantees every reported value is ≥ floor.
-            list.retain(|item| item.score >= floor);
-        }
-        emit(batch.ids[qi], list);
+        emit(batch.ids[qi], finish_list(list, batch.lengths[qi], floor));
     }
 }
 

@@ -68,7 +68,8 @@
 //!
 //! [`ShardedLemp::save`] writes a `LEMPSHD2` manifest: the shard map
 //! header (policy kind, shard count, the fixed routing bands) plus every
-//! shard's ordinary `LEMPDYN1` dynamic-engine image, length-prefixed — so
+//! shard's ordinary dynamic-engine image (`LEMPDYN1`, or `LEMPDYN3` with
+//! the shard's codebook and codes when quantized), length-prefixed — so
 //! id watermarks and dead ids survive the round trip and edits continue
 //! seamlessly after a load. Loading re-validates each embedded image with
 //! the full single-engine checks *and* the cross-shard invariants (equal
@@ -1254,7 +1255,7 @@ impl ShardedLemp {
 
     /// Serializes the sharded engine as a `LEMPSHD2` manifest: policy
     /// kind, shard count, the fixed routing bands, then every shard's
-    /// ordinary `LEMPDYN1` dynamic-engine image, length-prefixed (so id
+    /// ordinary dynamic-engine image, length-prefixed (so id
     /// watermarks and dead ids survive). The fan-out thread count is
     /// deliberately **not** persisted — it is a machine-specific runtime
     /// knob (loaders pick their own via [`ShardedLemp::set_threads`]), not
@@ -1674,19 +1675,27 @@ mod tests {
             .quantize(8)
             .build(&p);
         engine.warm(&q, WarmGoal::TopK(4));
+        let mut stamps = Vec::new();
         for shard in engine.shards() {
             assert_eq!(shard.config().quantize_bits, 8, "builder must thread quantize to shards");
             assert!(
                 shard.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()),
-                "warm quantized shard must hold codebooks"
+                "warm quantized shard must hold codes"
             );
+            // One codebook per shard, trained on that shard's directions.
+            stamps.push(shard.buckets().codebook().expect("a trained codebook").stamp());
         }
+        stamps.dedup();
+        assert_eq!(stamps.len(), 3);
         let usage = engine.memory_usage();
         assert_eq!(usage.len(), 3);
         assert!(usage.iter().all(|u| u.full_bytes > 0 && u.quantized_bytes > 0));
-        // Routed edits encode into the touched bucket's codebooks.
+        // Routed edits encode into the touched shard's codebook.
         engine.insert(&[2.0; 8]).unwrap();
         assert!(engine.remove(7));
+        let after_edits: Vec<u64> =
+            engine.shards().iter().map(|s| s.buckets().codebook().unwrap().stamp()).collect();
+        assert_eq!(after_edits, stamps, "edits never train");
         let mut scratch = engine.make_scratch();
         let before = engine.row_top_k_shared(&q, 4, &mut scratch);
 
@@ -1695,6 +1704,9 @@ mod tests {
         let mut loaded = ShardedLemp::read_from(&buf[..]).unwrap();
         for (a, b) in loaded.shards().iter().zip(engine.shards()) {
             assert_eq!(a.config().quantize_bits, 8);
+            // Restored without training, before any warm-up.
+            assert_eq!(a.buckets().codebook(), b.buckets().codebook());
+            assert_eq!(a.memory_usage(), b.memory_usage());
             for (x, y) in a.buckets().buckets().iter().zip(b.buckets().buckets()) {
                 assert_eq!(x.indexes.quant, y.indexes.quant, "quant state must round-trip");
             }

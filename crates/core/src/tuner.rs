@@ -61,8 +61,9 @@ pub(crate) enum TuneGoal {
 
 /// Runs the tuner: φ/t_b selection for variants with a coordinate method,
 /// plus — when quantization is enabled — a per-bucket decision whether the
-/// quantized LUT scan beats the variant's own method (any variant). `clock`
-/// accumulates index builds triggered by tuning (they count as
+/// quantized LUT scan beats the variant's own method (any variant). Both
+/// passes share one per-sample threshold (seeded once per sampled query).
+/// `clock` accumulates index builds triggered by tuning (they count as
 /// preprocessing).
 pub(crate) fn tune(
     buckets: &mut ProbeBuckets,
@@ -73,51 +74,83 @@ pub(crate) fn tune(
     clock: &mut BuildClock,
 ) -> Tuning {
     let nbuckets = buckets.bucket_count();
-    let mut tuning = if !cfg.variant.needs_phi() || nbuckets == 0 || batch.is_empty() {
-        Tuning::untuned(nbuckets)
-    } else {
-        tune_phi_tb(buckets, batch, goal, cfg, scratch, clock)
-    };
-    if cfg.quantize_bits > 0 && nbuckets > 0 && !batch.is_empty() {
-        let start = Instant::now();
-        tune_quant(buckets, batch, goal, cfg, scratch, clock, &mut tuning.per_bucket);
-        tuning.tune_ns += start.elapsed().as_nanos() as u64;
+    let phi = cfg.variant.needs_phi() && nbuckets > 0 && !batch.is_empty();
+    let quant = cfg.quantize_bits > 0 && nbuckets > 0 && !batch.is_empty();
+    if !phi && !quant {
+        return Tuning::untuned(nbuckets);
     }
-    tuning
+    let start = Instant::now();
+    let samples = sample_thresholds(buckets, batch, goal, cfg);
+    let mut per_bucket = if phi {
+        tune_phi_tb(buckets, batch, &samples, cfg, scratch, clock)
+    } else {
+        vec![TunedParams::default(); nbuckets]
+    };
+    if quant {
+        tune_quant(buckets, batch, &samples, cfg, scratch, clock, &mut per_bucket);
+    }
+    Tuning { per_bucket, tune_ns: start.elapsed().as_nanos() as u64 }
+}
+
+/// One sampled query: its position in the batch, its effective θ (global
+/// for Above, the seeded θ′ for TopK) and the ‖q‖ the bounds see (1 for
+/// TopK, Sec. 4.5).
+struct Sample {
+    qi: usize,
+    theta: f64,
+    len: f64,
+}
+
+/// Draws the tuning sample and computes each sample's threshold once.
+fn sample_thresholds(
+    buckets: &ProbeBuckets,
+    batch: &QueryBatch,
+    goal: &TuneGoal,
+    cfg: &RunConfig,
+) -> Vec<Sample> {
+    // The paper's tuning cost is "negligible since the number of query
+    // vectors is large"; keep that true at small m by capping the sample at
+    // a few percent of the query count.
+    let effective = cfg.sample_size.min(batch.len() / 20 + 4);
+    batch
+        .sample_positions(effective)
+        .into_iter()
+        .map(|qi| match goal {
+            TuneGoal::Above(theta) => Sample { qi, theta: *theta, len: batch.lengths[qi] },
+            TuneGoal::TopK(k) => {
+                Sample { qi, theta: seed_threshold(buckets, batch.dirs.vector(qi), *k), len: 1.0 }
+            }
+        })
+        .collect()
+}
+
+/// The query context of `sample` against `bucket`, or `None` if the
+/// bucket prunes it.
+fn sample_ctx<'a>(batch: &'a QueryBatch, sample: &Sample, bucket: &Bucket) -> Option<QueryCtx<'a>> {
+    if local_threshold(sample.theta, sample.len, bucket.max_len) > 1.0 {
+        return None;
+    }
+    let dir = batch.dirs.vector(sample.qi);
+    Some(QueryCtx {
+        dir,
+        len: sample.len,
+        theta: sample.theta,
+        theta_over_len: safe_div(sample.theta, sample.len),
+        local_threshold: region_threshold(sample.theta, sample.len, bucket.max_len, bucket.min_len),
+        scaled: dir, // tuning measures relative cost; q̄ scale suffices
+    })
 }
 
 /// The Sec. 4.4 φ/t_b selection (coordinate-method variants only).
 fn tune_phi_tb(
     buckets: &mut ProbeBuckets,
     batch: &QueryBatch,
-    goal: &TuneGoal,
+    samples: &[Sample],
     cfg: &RunConfig,
     scratch: &mut MethodScratch,
     clock: &mut BuildClock,
-) -> Tuning {
+) -> Vec<TunedParams> {
     let nbuckets = buckets.bucket_count();
-    let start = Instant::now();
-    // The paper's tuning cost is "negligible since the number of query
-    // vectors is large"; keep that true at small m by capping the sample at
-    // a few percent of the query count.
-    let effective = cfg.sample_size.min(batch.len() / 20 + 4);
-    let positions = batch.sample_positions(effective);
-    // Per-sample effective θ (global for Above, seeded θ′ for TopK) and the
-    // per-sample ‖q‖ exposed to the bounds (1 for TopK, Sec. 4.5).
-    let mut sample_theta = Vec::with_capacity(positions.len());
-    let mut sample_len = Vec::with_capacity(positions.len());
-    for &qi in &positions {
-        match goal {
-            TuneGoal::Above(theta) => {
-                sample_theta.push(*theta);
-                sample_len.push(batch.lengths[qi]);
-            }
-            TuneGoal::TopK(k) => {
-                sample_theta.push(seed_threshold(buckets, batch.dirs.vector(qi), *k));
-                sample_len.push(1.0);
-            }
-        }
-    }
     let incr = cfg.variant.coord_is_incr();
     let mut per_bucket = Vec::with_capacity(nbuckets);
     let mut sink = Sink::default();
@@ -133,67 +166,41 @@ fn tune_phi_tb(
         for phi in 1..=max_phi {
             ensure_for(bucket, coord_method(incr, phi), 1e-3, cfg, 0, clock);
         }
-        for (s, &qi) in positions.iter().enumerate() {
-            let theta = sample_theta[s];
-            let qlen = sample_len[s];
-            if local_threshold(theta, qlen, bucket.max_len) > 1.0 {
-                continue;
-            }
-            let th_b = region_threshold(theta, qlen, bucket.max_len, bucket.min_len);
-            let dir = batch.dirs.vector(qi);
-            let ctx = QueryCtx {
-                dir,
-                len: qlen,
-                theta,
-                theta_over_len: safe_div(theta, qlen),
-                local_threshold: th_b,
-                scaled: dir, // tuning measures relative cost; q̄ scale suffices
-            };
+        for sample in samples {
+            let Some(ctx) = sample_ctx(batch, sample, bucket) else { continue };
             let t_len = time_method(ResolvedMethod::Length, &ctx, bucket, None, scratch, &mut sink);
             let mut t_phi = [u64::MAX; MAX_PHI];
             for phi in 1..=max_phi {
                 t_phi[phi - 1] =
                     time_method(coord_method(incr, phi), &ctx, bucket, None, scratch, &mut sink);
             }
-            rows.push((th_b, t_len, t_phi));
+            rows.push((ctx.local_threshold, t_len, t_phi));
         }
         per_bucket.push(pick_params(&rows, max_phi, cfg));
     }
-    Tuning { per_bucket, tune_ns: start.elapsed().as_nanos() as u64 }
+    per_bucket
 }
 
 /// Per-bucket quantization decision: time the quantized LUT scan (including
 /// the verification its candidate set would cost) against the variant's own
 /// resolved method on the sampled queries, and flip `quant` on wherever the
 /// compressed scan is at least as fast — a tie favors quantization since it
-/// also shrinks residency. Codebooks are trained here (preprocessing, like
-/// the coordinate indexes); exactness never depends on this choice.
+/// also shrinks residency. The scan is priced the way the query path pays
+/// for it: the query's lookup table is filled once per query, not per
+/// bucket visit, so it is filled before the clock starts. The engine's
+/// codebook trains here if it has none yet (preprocessing, like the
+/// coordinate indexes); exactness never depends on this choice.
 #[allow(clippy::too_many_arguments)]
 fn tune_quant(
     buckets: &mut ProbeBuckets,
     batch: &QueryBatch,
-    goal: &TuneGoal,
+    samples: &[Sample],
     cfg: &RunConfig,
     scratch: &mut MethodScratch,
     clock: &mut BuildClock,
     per_bucket: &mut [TunedParams],
 ) {
-    let effective = cfg.sample_size.min(batch.len() / 20 + 4);
-    let positions = batch.sample_positions(effective);
-    let mut sample_theta = Vec::with_capacity(positions.len());
-    let mut sample_len = Vec::with_capacity(positions.len());
-    for &qi in &positions {
-        match goal {
-            TuneGoal::Above(theta) => {
-                sample_theta.push(*theta);
-                sample_len.push(batch.lengths[qi]);
-            }
-            TuneGoal::TopK(k) => {
-                sample_theta.push(seed_threshold(buckets, batch.dirs.vector(qi), *k));
-                sample_len.push(1.0);
-            }
-        }
-    }
+    buckets.ensure_quantized(cfg.quantize_bits, clock);
     let blsh_table = if cfg.variant == LempVariant::Blsh {
         Some(MinMatchTable::new(cfg.blsh_bits, cfg.blsh_eps))
     } else {
@@ -203,11 +210,7 @@ fn tune_quant(
     for (b, params) in per_bucket.iter_mut().enumerate().take(buckets.bucket_count()) {
         let seed = crate::runner::cfg_seed(cfg, b);
         let bucket = &mut buckets.buckets_mut()[b];
-        if bucket.max_len <= 0.0 {
-            continue;
-        }
-        ensure_for(bucket, ResolvedMethod::Quant, 1e-3, cfg, seed, clock);
-        if bucket.indexes.quant.is_none() {
+        if bucket.max_len <= 0.0 || bucket.indexes.quant.is_none() {
             continue;
         }
         if cfg.quantize_force {
@@ -219,24 +222,12 @@ fn tune_quant(
         let mut t_quant = 0u128;
         let mut t_base = 0u128;
         let mut measured = false;
-        for (s, &qi) in positions.iter().enumerate() {
-            let theta = sample_theta[s];
-            let qlen = sample_len[s];
-            if local_threshold(theta, qlen, bucket.max_len) > 1.0 {
-                continue;
-            }
-            let th_b = region_threshold(theta, qlen, bucket.max_len, bucket.min_len);
-            let incumbent = resolve(cfg.variant, params, th_b);
+        for sample in samples {
+            let Some(ctx) = sample_ctx(batch, sample, bucket) else { continue };
+            let incumbent = resolve(cfg.variant, params, ctx.local_threshold);
             ensure_for(bucket, incumbent, 1e-3, cfg, seed, clock);
-            let dir = batch.dirs.vector(qi);
-            let ctx = QueryCtx {
-                dir,
-                len: qlen,
-                theta,
-                theta_over_len: safe_div(theta, qlen),
-                local_threshold: th_b,
-                scaled: dir, // tuning measures relative cost; q̄ scale suffices
-            };
+            let codebook = bucket.indexes.quant.as_ref().expect("encoded above").codebook();
+            scratch.lut.table_for(codebook, ctx.dir);
             t_quant +=
                 time_method(ResolvedMethod::Quant, &ctx, bucket, None, scratch, &mut sink) as u128;
             t_base += time_method(incumbent, &ctx, bucket, blsh_table.as_ref(), scratch, &mut sink)

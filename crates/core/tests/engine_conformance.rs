@@ -359,11 +359,12 @@ macro_rules! apply {
 
 #[test]
 fn quantized_engines_stay_bit_identical_through_churn() {
-    // Warm trains the codebooks on the Gaussian fixture; the churn then
-    // encodes far-off, tied and ±0.0 directions into them without
-    // retraining (except where an edit opens, splits or drains a bucket).
-    // The per-probe distortion bounds must keep every answer exact. QUANT
-    // is forced so every reachable bucket scans through the codes.
+    // Warm trains the engine's codebook on a sample of the Gaussian
+    // fixture; the churn then encodes far-off, tied and ±0.0 directions
+    // into it without training, also where an edit opens, splits or drains
+    // a bucket. The per-probe distortion bounds must keep every answer
+    // exact. QUANT is forced so every reachable bucket scans through the
+    // codes.
     let (q, p) = fixture();
     let script = churn_script(&p, 77);
 
@@ -410,6 +411,125 @@ fn quantized_engines_stay_bit_identical_through_churn() {
         let response = engine.run(&QueryRequest::top_k(K), &q, &mut scratch);
         assert!(response.stats.method_mix.quant > 0, "{name}: QUANT never ran");
         assert_every_answer_matches(name, engine, &q, floor, &expect);
+    }
+}
+
+/// One-row query stores, so consecutive calls on different engines see
+/// the same query direction back to back.
+fn rows(q: &VectorStore) -> Vec<VectorStore> {
+    q.iter().map(|row| VectorStore::from_rows(&[row.to_vec()]).unwrap()).collect()
+}
+
+/// An exact (unquantized) engine over `e`'s live probes, plus the map from
+/// its row ids back to `e`'s stable ids.
+fn exact_twin(e: &DynamicLemp, q: &VectorStore) -> (Vec<u32>, Lemp) {
+    let (ids, live) = e.live_vectors();
+    let mut twin = Lemp::builder().sample_size(8).build(&live);
+    twin.warm(q, WarmGoal::TopK(K));
+    (ids, twin)
+}
+
+/// Asserts `got` answers the one-row query `row` bit-identically to the
+/// exact twin (Row-Top-k lists and Above-θ entries, ids mapped back).
+fn assert_matches_twin(
+    label: &str,
+    got: (TopKLists, Vec<Entry>),
+    twin: &(Vec<u32>, Lemp),
+    row: &VectorStore,
+) {
+    let (ids, engine) = twin;
+    let mut scratch = engine.make_scratch();
+    let mut lists = engine.row_top_k_shared(row, K, &mut scratch).lists;
+    for item in lists.iter_mut().flatten() {
+        item.id = ids[item.id] as usize;
+    }
+    assert!(topk_equivalent(&got.0, &lists, 0.0), "{label}: top-k");
+    let entries: Vec<Entry> = engine
+        .above_theta_shared(row, THETA, &mut scratch)
+        .entries
+        .iter()
+        .map(|e| Entry { probe: ids[e.probe as usize], ..*e })
+        .collect();
+    assert_eq!(canon(&got.1), canon(&entries), "{label}: above-θ");
+}
+
+/// Row-Top-k and Above-θ answers of `engine` for `row` through `scratch`,
+/// plus the QUANT pairs the top-k run scanned.
+fn answer(
+    engine: &dyn Engine,
+    row: &VectorStore,
+    scratch: &mut lemp_core::Scratch,
+) -> ((TopKLists, Vec<Entry>), u64) {
+    let top = engine.run(&QueryRequest::top_k(K), row, scratch);
+    let quant = top.stats.method_mix.quant;
+    let above = engine.run(&QueryRequest::above_theta(THETA), row, scratch);
+    ((top.into_top_k().lists, above.into_above().entries), quant)
+}
+
+#[test]
+fn quantized_lookup_tables_never_go_stale_across_engines() {
+    // One scratch carries its cached lookup table from engine A to engine
+    // B (another catalogue, so another codebook) on the very same query
+    // direction, and back to A after edits and a rebuild retrained A's
+    // codebook. A table reused across codebooks would score B's codes with
+    // A's centroids; every answer must instead equal an exact engine's.
+    let (q, p) = fixture();
+    // As many probes as the fixture, so both codebooks hold the same
+    // number of centroids and a stale table would fit B's codes.
+    let other = GeneratorConfig::sparse(p.len(), DIM, 1.0, 0.4).generate(9002);
+    let config =
+        RunConfig { sample_size: 8, quantize_bits: 8, quantize_force: true, ..Default::default() };
+    let mut a = DynamicLemp::new(&p, BucketPolicy::default(), config);
+    a.warm(&q, WarmGoal::TopK(K));
+    let mut b = DynamicLemp::new(&other, BucketPolicy::default(), config);
+    b.warm(&q, WarmGoal::TopK(K));
+    let stamp = |e: &DynamicLemp| e.buckets().codebook().unwrap().stamp();
+    let mut scratch = a.query_scratch();
+    let mut quant_pairs = 0;
+    for round in 0..2 {
+        let (twin_a, twin_b) = (exact_twin(&a, &q), exact_twin(&b, &q));
+        for (i, row) in rows(&q).iter().enumerate() {
+            for (name, engine, twin) in [("A", &a, &twin_a), ("B", &b, &twin_b), ("A", &a, &twin_a)]
+            {
+                let (got, quant) = answer(engine, row, &mut scratch);
+                quant_pairs += quant;
+                assert_matches_twin(&format!("round {round} query {i} {name}"), got, twin, row);
+            }
+        }
+        if round == 0 {
+            let before = stamp(&a);
+            apply!(&churn_script(&p, 78)[..60], a);
+            a.rebuild();
+            a.warm(&q, WarmGoal::TopK(K)); // re-tunes: QUANT is forced again
+            assert_ne!(stamp(&a), before, "a rebuild trains a new codebook");
+        }
+    }
+    assert!(quant_pairs > 0, "QUANT never ran");
+
+    // Sharded: each shard holds its own codebook. One method scratch
+    // visits every shard in turn, and the sharded engine answers through
+    // its own per-shard scratches.
+    let mut sharded = ShardedLemp::builder()
+        .shards(3)
+        .policy(ShardPolicy::LengthBanded)
+        .sample_size(8)
+        .quantize(8)
+        .quantize_force(true)
+        .build(&p);
+    sharded.warm(&q, WarmGoal::TopK(K));
+    let twins: Vec<_> = sharded.shards().iter().map(|s| exact_twin(s, &q)).collect();
+    let mut exact = Lemp::builder().sample_size(8).build(&p);
+    exact.warm(&q, WarmGoal::TopK(K));
+    let all = ((0..p.len() as u32).collect(), exact);
+    let mut one = sharded.shards()[0].query_scratch();
+    let mut own = sharded.query_scratch();
+    for (i, row) in rows(&q).iter().enumerate() {
+        for (s, (shard, twin)) in sharded.shards().iter().zip(&twins).enumerate() {
+            let (got, _) = answer(shard, row, &mut one);
+            assert_matches_twin(&format!("query {i} shard {s}"), got, twin, row);
+        }
+        let (got, _) = answer(&sharded, row, &mut own);
+        assert_matches_twin(&format!("query {i} sharded"), got, &all, row);
     }
 }
 

@@ -1,9 +1,12 @@
 //! Fuzz-style hardening of the persistence error paths: every engine image
-//! format (`LEMPENG1`, `LEMPDYN1`, `LEMPSHD1`) is truncated at **every**
-//! byte offset and bit-flipped at every byte — loading must always return
-//! a structured [`PersistError`] or a valid engine, and must **never**
-//! panic, abort on a hostile allocation size, or silently accept a
-//! truncated image.
+//! format (`LEMPENG1`/`2`/`3`, `LEMPDYN1`/`2`/`3`, `LEMPSHD1`/`2`) is
+//! truncated at **every** byte offset and bit-flipped at every byte —
+//! loading must always return a structured [`PersistError`] or a valid
+//! engine, and must **never** panic, abort on a hostile allocation size, or
+//! silently accept a truncated image. The version-2 quantized images
+//! (per-bucket codebooks) are no longer written; the committed fixtures
+//! under `tests/fixtures/` were written by that format's writer from the
+//! same tiny inputs, and stay in the sweeps while the format is readable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -60,10 +63,10 @@ fn images() -> Vec<(&'static str, Vec<u8>, Loader)> {
     sharded.write_to(&mut bytes).unwrap();
     let sharded_image = bytes;
 
-    // The v2 images carry the appended quantized section (code width,
-    // per-bucket flags, codebooks, packed codes); warming first trains the
-    // codebooks so the section is fully populated, and the sweeps below
-    // then corrupt every byte of it like any other region.
+    // The v3 images carry the appended quantized section (code width, the
+    // engine's codebook, per-bucket flags and packed codes); warming first
+    // trains the codebook so the section is fully populated, and the sweeps
+    // below then corrupt every byte of it like any other region.
     let q = queries();
     let mut quant_static = Lemp::builder().sample_size(4).quantize(8).build(&p);
     quant_static.warm(&q, WarmGoal::TopK(3));
@@ -85,13 +88,25 @@ fn images() -> Vec<(&'static str, Vec<u8>, Loader)> {
     quant_sharded.write_to(&mut bytes).unwrap();
     let quant_sharded_image = bytes;
 
+    // The same three quantized engines as the version-2 writer saved them
+    // (`Lemp`/`DynamicLemp`/2-shard `ShardedLemp`, `quantize(8)`, warmed
+    // with `WarmGoal::TopK(3)` on `queries()`).
+    let fixture = |name: &str| {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+        std::fs::read(path).unwrap()
+    };
+
     vec![
         ("LEMPENG1", static_image, load_static as Loader),
         ("LEMPDYN1", dynamic_image, load_dynamic as Loader),
         ("LEMPSHD1", sharded_image, load_sharded as Loader),
-        ("LEMPENG2", quant_static_image, load_static as Loader),
-        ("LEMPDYN2", quant_dynamic_image, load_dynamic as Loader),
-        ("LEMPSHD2", quant_sharded_image, load_sharded as Loader),
+        ("LEMPENG2", fixture("fuzz-v2-static.eng"), load_static as Loader),
+        ("LEMPDYN2", fixture("fuzz-v2-dynamic.eng"), load_dynamic as Loader),
+        ("LEMPSHD2+DYN2", fixture("fuzz-v2-sharded.eng"), load_sharded as Loader),
+        ("LEMPENG3", quant_static_image, load_static as Loader),
+        ("LEMPDYN3", quant_dynamic_image, load_dynamic as Loader),
+        ("LEMPSHD2+DYN3", quant_sharded_image, load_sharded as Loader),
     ]
 }
 

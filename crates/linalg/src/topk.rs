@@ -70,11 +70,24 @@ impl TopK {
 
     /// Offers an item; keeps it only if it beats the current threshold.
     /// Returns `true` if the item was retained.
+    ///
+    /// Inlined for the common case of a full heap and a losing score (one
+    /// comparison); the heap update stays out of line.
     #[inline]
     pub fn push(&mut self, id: usize, score: f64) -> bool {
-        if self.k == 0 {
-            return false;
+        // `k == 0` is always "full" and has no root to compare with.
+        if self.k > 0 && (!self.is_full() || score > self.heap[0].score) {
+            self.retain(id, score);
+            true
+        } else {
+            false
         }
+    }
+
+    /// Adds an item that beats the threshold: appends it while the heap is
+    /// filling, else replaces the weakest retained item.
+    #[inline(never)]
+    fn retain(&mut self, id: usize, score: f64) {
         if self.heap.len() < self.k {
             self.heap.push(ScoredItem { id, score });
             let mut i = self.heap.len() - 1;
@@ -87,13 +100,9 @@ impl TopK {
                 self.heap.swap(parent, i);
                 i = parent;
             }
-            true
-        } else if score > self.heap[0].score {
+        } else {
             self.heap[0] = ScoredItem { id, score };
             self.sift_down(0);
-            true
-        } else {
-            false
         }
     }
 
@@ -210,6 +219,83 @@ mod tests {
             expect.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
             expect.truncate(k);
             assert_eq!(got, expect, "k={k}");
+        }
+    }
+
+    /// `push` as it was before the inline fast path: the reference the
+    /// split version must match push for push.
+    fn reference_push(k: usize, heap: &mut Vec<ScoredItem>, id: usize, score: f64) -> bool {
+        if k == 0 {
+            return false;
+        }
+        if heap.len() < k {
+            heap.push(ScoredItem { id, score });
+            let mut i = heap.len() - 1;
+            while i > 0 {
+                let parent = (i - 1) / 2;
+                if heap[parent].score <= heap[i].score {
+                    break;
+                }
+                heap.swap(parent, i);
+                i = parent;
+            }
+            true
+        } else if score > heap[0].score {
+            heap[0] = ScoredItem { id, score };
+            let n = heap.len();
+            let mut i = 0;
+            loop {
+                let (l, r) = (2 * i + 1, 2 * i + 2);
+                let mut smallest = i;
+                if l < n && heap[l].score < heap[smallest].score {
+                    smallest = l;
+                }
+                if r < n && heap[r].score < heap[smallest].score {
+                    smallest = r;
+                }
+                if smallest == i {
+                    break;
+                }
+                heap.swap(i, smallest);
+                i = smallest;
+            }
+            true
+        } else {
+            false
+        }
+    }
+
+    #[test]
+    fn inline_fast_path_matches_the_reference_push_under_ties() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for k in [0usize, 1, 2, 4, 16, 100] {
+            for stream in 0..6 {
+                // Few distinct values (many ties at the threshold), then a
+                // rising run, so both the filling and the full heap see
+                // equal, losing and winning offers.
+                let distinct = [3, 8, 50][stream % 3];
+                let mut top = TopK::new(k);
+                let mut reference = TopK::new(k);
+                for id in 0..400 {
+                    let score = if id < 300 {
+                        (next() % distinct) as f64 * 0.25 - 1.0
+                    } else {
+                        id as f64 * 0.01
+                    };
+                    let got = top.push(id, score);
+                    let want = reference_push(k, &mut reference.heap, id, score);
+                    assert_eq!(got, want, "k={k} stream={stream} id={id}");
+                    assert_eq!(top.threshold().to_bits(), reference.threshold().to_bits());
+                    assert_eq!(top.clone().drain_sorted(), reference.clone().drain_sorted());
+                    assert_eq!(top.heap, reference.heap, "same heap layout");
+                }
+            }
         }
     }
 
