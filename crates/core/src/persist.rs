@@ -66,7 +66,8 @@
 //!
 //! The sharded engine ([`crate::ShardedLemp`]) persists a `LEMPSHD2`
 //! manifest — policy kind, shard count, length-band floors, then one
-//! length-prefixed `LEMPDYN1` image per shard (see [`crate::shard`]).
+//! length-prefixed dynamic image (`LEMPDYN1`/`LEMPDYN3`) per shard (see
+//! [`crate::shard`]).
 //! **Legacy files keep loading unchanged**: single-shard `LEMPENG1`
 //! images through [`Lemp::load`] and everything built on it (`lemp
 //! serve`, [`crate::DynamicLemp::from_engine`]), and `LEMPSHD1`
@@ -520,6 +521,14 @@ fn read_codes<R: Read>(
         .map_err(PersistError::Format)
 }
 
+/// Prefixes a format error with the bucket it arose in.
+fn in_bucket(b: usize) -> impl Fn(PersistError) -> PersistError {
+    move |e| match e {
+        PersistError::Format(msg) => PersistError::Format(format!("bucket {b}: {msg}")),
+        other => other,
+    }
+}
+
 /// Reads and validates the quantized section of an image of the given
 /// version and returns the configured code width (`0` for version 1,
 /// which has none). Version 3 attaches the engine's codebook and the
@@ -539,16 +548,12 @@ pub(crate) fn read_quant_section<R: Read>(
     let dim = buckets.dim();
     if version == QuantSection::PerBucket {
         for (b, bucket) in buckets.buckets().iter().enumerate() {
-            let at = |e: PersistError| match e {
-                PersistError::Format(msg) => PersistError::Format(format!("bucket {b}: {msg}")),
-                other => other,
-            };
-            if !read_flag(r, "quant flag").map_err(at)? {
+            if !read_flag(r, "quant flag").map_err(in_bucket(b))? {
                 continue;
             }
-            let bits = read_bits(r, "quant bits").map_err(at)?;
-            let codebook = Arc::new(read_codebook(r, bits, dim, bucket.len()).map_err(at)?);
-            read_codes(r, &codebook, bucket).map_err(at)?;
+            let bits = read_bits(r, "quant bits").map_err(in_bucket(b))?;
+            let codebook = read_codebook(r, bits, dim, bucket.len()).map_err(in_bucket(b))?;
+            read_codes(r, &Arc::new(codebook), bucket).map_err(in_bucket(b))?;
         }
         return Ok(quantize_bits);
     }
@@ -557,12 +562,8 @@ pub(crate) fn read_quant_section<R: Read>(
     }
     let codebook = Arc::new(read_codebook(r, quantize_bits, dim, 1 << quantize_bits)?);
     for (b, bucket) in buckets.buckets_vec_mut().iter_mut().enumerate() {
-        let at = |e: PersistError| match e {
-            PersistError::Format(msg) => PersistError::Format(format!("bucket {b}: {msg}")),
-            other => other,
-        };
-        if read_flag(r, "quant flag").map_err(at)? {
-            bucket.indexes.quant = Some(read_codes(r, &codebook, bucket).map_err(at)?);
+        if read_flag(r, "quant flag").map_err(in_bucket(b))? {
+            bucket.indexes.quant = Some(read_codes(r, &codebook, bucket).map_err(in_bucket(b))?);
         }
     }
     buckets.set_codebook(codebook);
