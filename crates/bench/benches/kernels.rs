@@ -4,7 +4,7 @@
 //! primitives.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lemp_core::index::{ColumnIndex, RowIndex};
+use lemp_core::index::{build_both, ColumnIndex, RowIndex};
 use lemp_data::synthetic::GeneratorConfig;
 use lemp_linalg::{kernels, simd};
 use std::hint::black_box;
@@ -84,6 +84,10 @@ fn bench_index_build_and_scan(c: &mut Criterion) {
     });
     c.bench_function("kernels/row_index_build_2000x50", |b| {
         b.iter(|| RowIndex::build(black_box(&dirs)));
+    });
+    // Both layouts from one sort per coordinate (what warm-up builds).
+    c.bench_function("kernels/sorted_lists_both_2000x50", |b| {
+        b.iter(|| build_both(black_box(&dirs)));
     });
     let col = ColumnIndex::build(&dirs);
     c.bench_function("kernels/scan_range_search", |b| {

@@ -6,13 +6,18 @@
 //! of `m · k` dots per bucket visit) where the exact path does one
 //! `dim`-length dot per probe — the ISSUE's ≥ 2× scan-throughput target at
 //! 8 bits is measured here, and the scalar/AVX2 gap of the LUT kernel is
-//! isolated the same way `kernels.rs` isolates it for `dot`.
+//! isolated the same way `kernels.rs` isolates it for `dot`. The
+//! preprocessing side is measured too: training an engine-sized codebook
+//! and encoding a catalogue through the nearest-centroid kernel, scalar vs
+//! AVX2.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lemp_core::quant::{Codebook, TRAIN_SAMPLE};
 use lemp_core::QuantizedBucket;
 use lemp_data::synthetic::GeneratorConfig;
 use lemp_linalg::{kernels, simd, VectorStore};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const DIM: usize = 50;
 
@@ -81,6 +86,32 @@ fn bench_scan_isa(c: &mut Criterion) {
     group.finish();
 }
 
+/// Scalar vs AVX2 on codebook preprocessing: Lloyd training of an 8-bit
+/// codebook on an engine's full sample (2,048 × 50), then encoding 4,096
+/// directions against it — both run the nearest-centroid search, whose
+/// results are bit-identical on either path.
+fn bench_train_encode_isa(c: &mut Criterion) {
+    let mut isas = vec![simd::Isa::Scalar];
+    if simd::avx2_supported() {
+        isas.push(simd::Isa::Avx2);
+    }
+    let sample = dirs(TRAIN_SAMPLE, 5);
+    let catalogue = dirs(4096, 6);
+    let trained = Arc::new(Codebook::train(&sample, 8, 1).unwrap());
+    let mut group = c.benchmark_group("quantized/train_encode");
+    for &isa in &isas {
+        let prev = simd::override_isa(isa);
+        group.bench_with_input(BenchmarkId::new("train8", format!("{isa:?}")), &isa, |b, _| {
+            b.iter(|| Codebook::train(black_box(&sample), 8, 1));
+        });
+        group.bench_with_input(BenchmarkId::new("encode8", format!("{isa:?}")), &isa, |b, _| {
+            b.iter(|| QuantizedBucket::encode(Arc::clone(&trained), black_box(&catalogue)));
+        });
+        simd::override_isa(prev);
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -91,6 +122,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_scan_vs_full, bench_scan_isa
+    targets = bench_scan_vs_full, bench_scan_isa, bench_train_encode_isa
 }
 criterion_main!(benches);

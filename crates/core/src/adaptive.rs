@@ -43,7 +43,8 @@ use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
 use crate::exec::{
-    ensure_for, run_method, seed_query, verify_above, verify_topk, BuildClock, RunConfig,
+    ensure_for, ensure_sorted_lists, run_method, seed_query, verify_above, verify_topk, BuildClock,
+    RunConfig,
 };
 use crate::query::QueryBatch;
 use crate::runner::{
@@ -363,9 +364,10 @@ fn ensure_arm_indexes(
     cfg: &RunConfig,
     clock: &mut BuildClock,
 ) {
-    ensure_for(bucket, ResolvedMethod::Coord(1), 1.0, cfg, 0, clock);
     if selector.cfg.use_incr && selector.arm_count() > 2 {
-        ensure_for(bucket, ResolvedMethod::Incr(2), 1.0, cfg, 0, clock);
+        ensure_sorted_lists(bucket, clock);
+    } else {
+        ensure_for(bucket, ResolvedMethod::Coord(1), 1.0, cfg, 0, clock);
     }
 }
 

@@ -28,7 +28,7 @@ use lemp_baselines::{CoverTree, TaIndex};
 use lemp_linalg::VectorStore;
 
 use crate::exec::BuildClock;
-use crate::index::{ColumnIndex, RowIndex};
+use crate::index::{self, ColumnIndex, RowIndex};
 use crate::quant::{Codebook, QuantizedBucket};
 
 /// Controls the greedy bucketization.
@@ -248,6 +248,19 @@ impl Bucket {
         }
     }
 
+    /// Builds whichever sorted-list layouts (COORD, INCR) are absent — both
+    /// from one sort per coordinate when both are ([`index::build_both`]);
+    /// returns how many were built now.
+    pub fn ensure_sorted_lists(&mut self) -> u64 {
+        if self.indexes.coord.is_none() && self.indexes.incr.is_none() {
+            let (coord, incr) = index::build_both(&self.dirs);
+            self.indexes.coord = Some(coord);
+            self.indexes.incr = Some(incr);
+            return 2;
+        }
+        u64::from(self.ensure_coord()) + u64::from(self.ensure_incr())
+    }
+
     /// Builds the TA index if absent; returns whether it was built now.
     pub fn ensure_ta(&mut self) -> bool {
         if self.indexes.ta.is_none() {
@@ -312,7 +325,8 @@ pub struct MemoryUsage {
     pub full_bytes: u64,
     /// Quantized residency: the codebook, packed codes and per-probe
     /// bounds, plus per-probe length and id; zero until the codebook is
-    /// trained.
+    /// trained. The codebook counts its centroids only, not the transposed
+    /// copy its nearest-centroid search keeps (as many bytes again).
     pub quantized_bytes: u64,
 }
 
@@ -448,7 +462,7 @@ impl ProbeBuckets {
 
     /// Probe-residency accounting: full-precision bytes vs the quantized
     /// representation's bytes, summed over buckets (the shared codebook
-    /// counts once).
+    /// counts once, by its centroids; see [`MemoryUsage::quantized_bytes`]).
     pub fn memory_usage(&self) -> MemoryUsage {
         let mut mem = MemoryUsage::default();
         if let Some(cb) = &self.codebook {

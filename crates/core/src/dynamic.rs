@@ -68,6 +68,7 @@ use crate::exec::{BuildClock, RunConfig};
 use crate::persist::PersistError;
 use crate::plan::{self, Engine, QueryPlan, QueryRequest, QueryResponse, Scratch};
 use crate::runner::{self, AboveThetaOutput, TopKOutput};
+use crate::tuner;
 use crate::variant::TunedParams;
 use crate::{Lemp, WarmGoal, WarmReport, WarmState};
 
@@ -480,7 +481,9 @@ impl DynamicLemp {
     /// re-indexed before the call returns, and a quantized one trains its
     /// codebook anew — but the tuned per-bucket parameters reset to
     /// defaults (the old buckets no longer exist); call
-    /// [`DynamicLemp::warm`] again to re-tune.
+    /// [`DynamicLemp::warm`] again to re-tune. Under
+    /// [`RunConfig::quantize_force`] every encoded bucket keeps scanning
+    /// through QUANT, as the forced tuner routes it.
     pub fn rebuild(&mut self) {
         let (ids, store) = self.live_vectors();
         let mut rebuilt = ProbeBuckets::build(&store, &self.policy);
@@ -493,9 +496,14 @@ impl DynamicLemp {
         self.buckets = rebuilt;
         self.buckets.set_total(self.live);
         if self.warm.is_some() {
-            let per_bucket = vec![TunedParams::default(); self.buckets.bucket_count()];
+            let mut per_bucket = vec![TunedParams::default(); self.buckets.bucket_count()];
             let mut clock = BuildClock::default();
             runner::prebuild_all(&mut self.buckets, &self.config, &per_bucket, &mut clock);
+            if self.config.quantize_force {
+                for (params, bucket) in per_bucket.iter_mut().zip(self.buckets.buckets()) {
+                    params.quant = tuner::quant_ready(bucket);
+                }
+            }
             if let Some(w) = &mut self.warm {
                 w.per_bucket = per_bucket;
             }

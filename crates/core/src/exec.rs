@@ -120,6 +120,17 @@ pub(crate) fn ensure_for(
     }
 }
 
+/// Builds the sorted-list layouts `bucket` lacks, both from one sort per
+/// coordinate when it has neither; each layout counts as one index.
+pub(crate) fn ensure_sorted_lists(bucket: &mut Bucket, clock: &mut BuildClock) {
+    let start = Instant::now();
+    let built = bucket.ensure_sorted_lists();
+    if built > 0 {
+        clock.ns += start.elapsed().as_nanos() as u64;
+        clock.built += built;
+    }
+}
+
 /// Dispatches one bucket-method invocation; returns the number of inner
 /// products the method computed internally (TA and Tree verify inline).
 ///

@@ -16,6 +16,16 @@
 //! Scan ranges for a feasible region `[L_f, U_f]` are located by binary
 //! search on the descending value arrays.
 //!
+//! Both layouts come from the same sort. Per coordinate, each row's value
+//! becomes an integer key: the order-preserving `u64` image of `v + 0.0`,
+//! inverted so ascending keys are descending values (adding `0.0` folds
+//! −0.0 into +0.0, which compare equal as values). `(key, lid)` pairs then
+//! sort with one unstable integer sort, so ties on a value break on the
+//! ascending local id, and the lists hold the rows' original values (−0.0
+//! kept). Where a bucket needs both layouts at once (warm-up, the tuner of
+//! the INCR variants, the adaptive arm menu) [`build_both`] sorts each
+//! coordinate once for the two of them.
+//!
 //! Dynamic edits splice one bucket row in or out of both layouts in O(r·n)
 //! instead of re-sorting. The spliced lists equal a fresh `build` over the
 //! edited directions: shifting the local ids at or above the edit position
@@ -36,8 +46,18 @@ pub struct ColumnIndex {
 impl ColumnIndex {
     /// Builds the per-coordinate sorted lists; O(r·n·log n).
     pub fn build(dirs: &VectorStore) -> Self {
-        let (order, values) = sorted_lists(dirs);
-        Self { vals: values, lids: order }
+        let mut index = Self::with_dim(dirs.dim());
+        sorted_lists(dirs, |list| index.push_list(list));
+        index
+    }
+
+    fn with_dim(dim: usize) -> Self {
+        Self { vals: Vec::with_capacity(dim), lids: Vec::with_capacity(dim) }
+    }
+
+    fn push_list(&mut self, list: &[(f64, u32)]) {
+        self.vals.push(list.iter().map(|e| e.0).collect());
+        self.lids.push(list.iter().map(|e| e.1).collect());
     }
 
     /// Number of coordinates (lists).
@@ -69,7 +89,7 @@ impl ColumnIndex {
         for ((vals, lids), &v) in self.vals.iter_mut().zip(&mut self.lids).zip(dir) {
             shift_up(lids.iter_mut(), pos);
             // Ties on `v` sit in `lo..hi` by ascending id (`==` treats
-            // ±0.0 as one value, as the build's comparator does).
+            // ±0.0 as one value, as the build's key does).
             let lo = vals.partition_point(|&w| w > v);
             let hi = vals.partition_point(|&w| w >= v);
             let at = lo + lids[lo..hi].partition_point(|&l| l < pos);
@@ -101,13 +121,9 @@ pub struct RowIndex {
 impl RowIndex {
     /// Builds the per-coordinate sorted lists; O(r·n·log n).
     pub fn build(dirs: &VectorStore) -> Self {
-        let (order, values) = sorted_lists(dirs);
-        let entries = values
-            .into_iter()
-            .zip(order)
-            .map(|(vals, lids)| vals.into_iter().zip(lids).collect())
-            .collect();
-        Self { entries }
+        let mut index = Self { entries: Vec::with_capacity(dirs.dim()) };
+        sorted_lists(dirs, |list| index.entries.push(list.to_vec()));
+        index
     }
 
     /// Number of coordinates (lists).
@@ -167,24 +183,50 @@ fn shift_down<'a>(lids: impl Iterator<Item = &'a mut u32>, pos: u32) {
     }
 }
 
-/// Shared sort: per coordinate, ids ordered by descending value (ties by
-/// ascending id for determinism), plus the aligned value arrays.
-fn sorted_lists(dirs: &VectorStore) -> (Vec<Vec<u32>>, Vec<Vec<f64>>) {
+/// Builds both layouts with one sort per coordinate — what
+/// `(ColumnIndex::build(dirs), RowIndex::build(dirs))` returns.
+pub fn build_both(dirs: &VectorStore) -> (ColumnIndex, RowIndex) {
+    let mut col = ColumnIndex::with_dim(dirs.dim());
+    let mut row = RowIndex { entries: Vec::with_capacity(dirs.dim()) };
+    sorted_lists(dirs, |list| {
+        col.push_list(list);
+        row.entries.push(list.to_vec());
+    });
+    (col, row)
+}
+
+/// The shared sort: hands `emit` each coordinate's `(value, lid)` list in
+/// coordinate order, sorted by descending value with ties on ascending
+/// local id (see the module docs for the integer key).
+///
+/// # Panics
+/// On a NaN coordinate.
+fn sorted_lists(dirs: &VectorStore, mut emit: impl FnMut(&[(f64, u32)])) {
     let n = dirs.len();
-    let dim = dirs.dim();
-    let mut order_out = Vec::with_capacity(dim);
-    let mut vals_out = Vec::with_capacity(dim);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    for f in 0..dim {
-        order.sort_by(|&a, &b| {
-            let va = dirs.vector(a as usize)[f];
-            let vb = dirs.vector(b as usize)[f];
-            vb.partial_cmp(&va).expect("finite directions").then(a.cmp(&b))
-        });
-        order_out.push(order.clone());
-        vals_out.push(order.iter().map(|&i| dirs.vector(i as usize)[f]).collect());
+    let mut column = Vec::with_capacity(n);
+    let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
+    let mut list = Vec::with_capacity(n);
+    for f in 0..dirs.dim() {
+        column.clear();
+        column.extend(dirs.iter().map(|d| d[f]));
+        keyed.clear();
+        keyed.extend(column.iter().zip(0u32..).map(|(&v, lid)| (descending_key(v), lid)));
+        keyed.sort_unstable();
+        list.clear();
+        list.extend(keyed.iter().map(|&(_, lid)| (column[lid as usize], lid)));
+        emit(&list);
     }
-    (order_out, vals_out)
+}
+
+/// Integer sort key of a coordinate value: ascending keys are descending
+/// values, and ±0.0 share one key.
+fn descending_key(v: f64) -> u64 {
+    assert!(!v.is_nan(), "finite directions");
+    let bits = (v + 0.0).to_bits();
+    // Negative values flip every bit, the rest set the sign bit: ascending
+    // integers in the order of the values.
+    let ascending = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    !ascending
 }
 
 /// Half-open range of a **descending** array with values in `[lo, hi]`.
@@ -285,6 +327,106 @@ mod tests {
         let store = VectorStore::from_rows(&[vec![0.5], vec![0.5], vec![0.5]]).unwrap();
         let idx = ColumnIndex::build(&store);
         assert_eq!(idx.lids(0, (0, 3)), &[0, 1, 2]);
+    }
+
+    /// The comparator sort the integer keys replaced, kept as the
+    /// reference: per coordinate, ids by descending value (`partial_cmp`,
+    /// so ±0.0 tie), ties by ascending id, plus the aligned values.
+    fn reference_lists(dirs: &VectorStore) -> (Vec<Vec<u32>>, Vec<Vec<f64>>) {
+        let mut order: Vec<u32> = (0..dirs.len() as u32).collect();
+        let (mut orders, mut vals) = (Vec::new(), Vec::new());
+        for f in 0..dirs.dim() {
+            order.sort_by(|&a, &b| {
+                let va = dirs.vector(a as usize)[f];
+                let vb = dirs.vector(b as usize)[f];
+                vb.partial_cmp(&va).expect("finite directions").then(a.cmp(&b))
+            });
+            orders.push(order.clone());
+            vals.push(order.iter().map(|&i| dirs.vector(i as usize)[f]).collect());
+        }
+        (orders, vals)
+    }
+
+    /// Asserts both layouts hold exactly the reference lists, value bits
+    /// included (so −0.0 stays −0.0).
+    fn assert_matches_reference(col: &ColumnIndex, row: &RowIndex, dirs: &VectorStore, ctx: &str) {
+        let (orders, vals) = reference_lists(dirs);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!((col.dim(), row.dim()), (dirs.dim(), dirs.dim()), "{ctx}");
+        for f in 0..dirs.dim() {
+            let all = (0, dirs.len());
+            assert_eq!(col.lids(f, all), &orders[f][..], "{ctx}: COORD ids, f={f}");
+            assert_eq!(bits(&col.vals[f]), bits(&vals[f]), "{ctx}: COORD values, f={f}");
+            let (row_vals, row_lids): (Vec<f64>, Vec<u32>) =
+                row.entries(f, all).iter().copied().unzip();
+            assert_eq!(row_lids, orders[f], "{ctx}: INCR ids, f={f}");
+            assert_eq!(bits(&row_vals), bits(&vals[f]), "{ctx}: INCR values, f={f}");
+        }
+    }
+
+    #[test]
+    fn integer_key_sort_equals_the_comparator_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let tiny = f64::MIN_POSITIVE / 4.0; // subnormal
+        let pool = [0.0, -0.0, tiny, -tiny, 5e-324, -5e-324, f64::MIN_POSITIVE, 0.5, -0.5, 1.0];
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..60 {
+            let dim = [1, 2, 3, 7, 50][case % 5];
+            let n = [1, 2, 5, 40, 300][(case / 5) % 5];
+            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+            for _ in 0..n {
+                if !rows.is_empty() && rng.random_range(0..4) == 0 {
+                    // A duplicate of an earlier row: ties on every list.
+                    let copy = rows[rng.random_range(0..rows.len())].clone();
+                    rows.push(copy);
+                    continue;
+                }
+                let row = (0..dim)
+                    .map(|_| match rng.random_range(0..3) {
+                        0 => pool[rng.random_range(0..pool.len())],
+                        _ => rng.random_range(-1.0..1.0),
+                    })
+                    .collect();
+                rows.push(row);
+            }
+            let dirs = VectorStore::from_rows(&rows).unwrap();
+            let ctx = format!("case {case}: {n} rows, dim {dim}");
+            let (col, row) = (ColumnIndex::build(&dirs), RowIndex::build(&dirs));
+            assert_matches_reference(&col, &row, &dirs, &ctx);
+            // One sort for both layouts gives what the two builds give.
+            let (both_col, both_row) = build_both(&dirs);
+            assert_eq!(format!("{both_col:?}"), format!("{col:?}"), "{ctx}");
+            assert_eq!(format!("{both_row:?}"), format!("{row:?}"), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn keys_order_every_value_class() {
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        let ascending = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -tiny,
+            -5e-324,
+            0.0,
+            5e-324,
+            tiny,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::INFINITY,
+        ];
+        for w in ascending.windows(2) {
+            assert!(descending_key(w[0]) > descending_key(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        assert_eq!(descending_key(-0.0), descending_key(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite directions")]
+    fn nan_coordinates_are_refused() {
+        descending_key(f64::NAN);
     }
 
     #[test]

@@ -20,6 +20,20 @@
 //! directions and the seed. Edits never train: they encode against the
 //! engine's codebook (see [`crate::dynamic`]).
 //!
+//! Training (each Lloyd assignment) and encoding search every subspace's
+//! `k` centroids for the nearest one through
+//! [`lemp_linalg::kernels::nearest_centroid`], which scans four centroids
+//! per AVX2 step in two independent chains (scalar elsewhere) and returns
+//! the scalar scan's first minimum, with distances bit-identical to
+//! [`lemp_linalg::kernels::dist_sq`]. It reads a copy of the centroids
+//! transposed into 4 rows of `k` per subspace, kept in its own field beside
+//! the centroids. The copy is derived state: built whenever a codebook is
+//! assembled (trained or loaded), refreshed after every Lloyd update inside
+//! training, and never persisted. It doubles the codebook's residency (at
+//! 50-d and 8 bits, 106 KB of centroids plus 106 KB of copy), but
+//! [`Codebook::resident_bytes`] and so `memory_usage()` count only the
+//! centroids, the part an image holds.
+//!
 //! # Exactness contract
 //!
 //! The representation keeps a **per-probe distortion bound**
@@ -180,6 +194,10 @@ pub struct Codebook {
     /// `m · k` centroids of `sub_dim` doubles each, subspace-major; the
     /// last subspace's trailing coordinates are zero-padded.
     centroids: Vec<f64>,
+    /// The centroids again, for the nearest-centroid search: per subspace,
+    /// transposed into 4 rows of `k` ([`transpose_subspace`]). Derived
+    /// state, built with the codebook and never persisted.
+    search: Vec<f64>,
     stamp: u64,
 }
 
@@ -195,7 +213,13 @@ impl PartialEq for Codebook {
 impl Codebook {
     fn assemble(bits: u8, sub_dim: usize, k: usize, dim: usize, centroids: Vec<f64>) -> Self {
         let stamp = CODEBOOK_STAMP.fetch_add(1, Ordering::Relaxed);
-        Self { bits, sub_dim, m: dim.div_ceil(sub_dim), k, dim, centroids, stamp }
+        let m = dim.div_ceil(sub_dim);
+        let mut search = vec![0.0; m * 4 * k];
+        for s in 0..m {
+            let cb = &centroids[s * k * sub_dim..(s + 1) * k * sub_dim];
+            transpose_subspace(cb, sub_dim, &mut search[s * 4 * k..(s + 1) * 4 * k]);
+        }
+        Self { bits, sub_dim, m, k, dim, centroids, search, stamp }
     }
 
     /// Trains subspace codebooks on every row of `dirs` (unit directions)
@@ -213,6 +237,7 @@ impl Codebook {
         let k = n.min(1usize << bits);
         let mut centroids = vec![0.0; m * k * sub_dim];
         let mut err_sq = vec![0.0f64; n];
+        let mut cols = vec![0.0; 4 * k];
         let mut rng = seed | 1;
         for s in 0..m {
             let lo = s * sub_dim;
@@ -230,9 +255,12 @@ impl Codebook {
             for _ in 0..KMEANS_ITERS {
                 sums.iter_mut().for_each(|x| *x = 0.0);
                 counts.iter_mut().for_each(|x| *x = 0);
+                // The search reads the centroids as they stand after the
+                // last update.
+                transpose_subspace(cb, sub_dim, &mut cols);
                 for (i, e) in err_sq.iter_mut().enumerate() {
                     let point = &dirs.vector(i)[lo..lo + w];
-                    let (best, best_d) = nearest(point, cb, k, sub_dim, w);
+                    let (best, best_d) = kernels::nearest_centroid(point, &cols);
                     *e = best_d;
                     counts[best] += 1;
                     for (dst, &src) in sums[best * sub_dim..].iter_mut().zip(point) {
@@ -356,7 +384,8 @@ impl Codebook {
         self.stamp
     }
 
-    /// Resident bytes of the centroids.
+    /// Resident bytes of the centroids. The transposed search copy, derived
+    /// state of the same size, is not counted.
     pub fn resident_bytes(&self) -> usize {
         self.centroids.len() * 8
     }
@@ -373,8 +402,8 @@ impl Codebook {
         for s in 0..self.m {
             let lo = s * self.sub_dim;
             let w = (self.dim - lo).min(self.sub_dim);
-            let (best, best_d) =
-                nearest(&dir[lo..lo + w], self.subspace(s), self.k, self.sub_dim, w);
+            let cols = &self.search[s * 4 * self.k..(s + 1) * 4 * self.k];
+            let (best, best_d) = kernels::nearest_centroid(&dir[lo..lo + w], cols);
             code(s, best as u16);
             err_sq += best_d;
         }
@@ -645,35 +674,21 @@ fn max_of(errs: &[f64]) -> f64 {
     errs.iter().fold(0.0f64, |acc, &e| acc.max(e))
 }
 
-/// The centroid of `cb` nearest to `point` and its squared distance.
-fn nearest(point: &[f64], cb: &[f64], k: usize, sub_dim: usize, w: usize) -> (usize, f64) {
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    if w == 4 && sub_dim == 4 {
-        // The hot shape, spelled out: the same `(s0 + s1) + (s2 + s3)`
-        // sum as `kernels::dist_sq`, so distances (and the bounds
-        // `from_codes` recomputes through the kernel) are bit-identical,
-        // but the Lloyd loop's speed doesn't hinge on the compiler
-        // inlining the dispatched kernel into it.
-        let (p0, p1, p2, p3) = (point[0], point[1], point[2], point[3]);
-        for (c, cent) in cb[..k * 4].chunks_exact(4).enumerate() {
-            let (d0, d1, d2, d3) = (p0 - cent[0], p1 - cent[1], p2 - cent[2], p3 - cent[3]);
-            let d = (d0 * d0 + d1 * d1) + (d2 * d2 + d3 * d3);
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        return (best, best_d);
-    }
+/// Transposes one subspace's `k` centroids of `sub_dim` doubles (`cb`,
+/// row-major) into the 4 rows of `k` that [`kernels::nearest_centroid`]
+/// reads (`out[j·k + c]` is coordinate `j` of centroid `c`; rows
+/// `j ≥ sub_dim` are zero). The search's distances are bit-identical to
+/// `kernels::dist_sq` over the subspace's coordinates, so the bounds
+/// [`QuantizedBucket::from_codes`] recomputes through that kernel equal
+/// the ones encoding records.
+fn transpose_subspace(cb: &[f64], sub_dim: usize, out: &mut [f64]) {
+    let k = out.len() / 4;
+    out[sub_dim * k..].fill(0.0);
     for c in 0..k {
-        let d = kernels::dist_sq(point, &cb[c * sub_dim..c * sub_dim + w]);
-        if d < best_d {
-            best_d = d;
-            best = c;
+        for j in 0..sub_dim {
+            out[j * k + c] = cb[c * sub_dim + j];
         }
     }
-    (best, best_d)
 }
 
 /// The QUANT bucket scan: take the query's LUT (filled once per query and
@@ -976,6 +991,50 @@ mod tests {
         let err = Codebook::from_parts(2, cb.sub_dim(), cb.k(), cb.centroids().to_vec(), d.dim())
             .unwrap_err();
         assert!(err.contains("invalid for bits"), "{err}");
+    }
+
+    /// FNV-1a over a codebook's shape and centroid bits and a bucket's
+    /// codes and bound bits.
+    fn fingerprint(q: &QuantizedBucket) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01B3);
+            }
+        };
+        let cb = q.codebook();
+        eat(cb.k() as u64);
+        eat(cb.subspaces() as u64);
+        cb.centroids().iter().for_each(|v| eat(v.to_bits()));
+        (0..q.codes().len()).for_each(|i| eat(q.codes().get(i) as u64));
+        q.errs().iter().for_each(|e| eat(e.to_bits()));
+        h
+    }
+
+    #[test]
+    fn trained_and_encoded_state_matches_its_golden_hashes() {
+        // Hashes of what a one-centroid-at-a-time scan over row-major
+        // centroids (`dist_sq` per centroid, first minimum) trains and
+        // encodes: the four-centroid kernel must give the same centroids,
+        // codes and bounds bit for bit. It runs on the ISA the process
+        // dispatches to (`LEMP_FORCE_ISA=scalar` checks the fallback).
+        // Shapes: (bits, training rows, encoded rows, dim) — full and
+        // partial last subspaces (w = 4, 2, 3, 1), k below, at and above
+        // eight, and a k that is no multiple of eight.
+        let cases: [(u8, usize, usize, usize, u64); 6] = [
+            (8, 1024, 600, 50, 0x79DB_4067_99CC_AA49),
+            (4, 2048, 500, 50, 0xFA2B_D5B5_5202_42EF),
+            (3, 100, 300, 10, 0x1A2A_B391_869E_F154),
+            (8, 77, 200, 7, 0x43FD_9CB1_9A58_A6E7),
+            (2, 40, 60, 3, 0xA8A0_9CD4_A74C_87FC),
+            (9, 600, 100, 5, 0xB126_1654_EE12_D8E1),
+        ];
+        let isa = lemp_linalg::simd::active();
+        for &(bits, n_train, n_enc, dim, want) in &cases {
+            let cb = Codebook::train(&dirs(n_train, dim, 90), bits, 5).unwrap();
+            let q = QuantizedBucket::encode(Arc::new(cb), &dirs(n_enc, dim, 91));
+            assert_eq!(fingerprint(&q), want, "{isa:?}: {bits} bits, dim {dim}");
+        }
     }
 
     #[test]

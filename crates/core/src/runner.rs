@@ -28,7 +28,8 @@ use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
 use crate::exec::{
-    ensure_for, run_method, seed_query, verify_above, verify_topk, BuildClock, RunConfig,
+    ensure_for, ensure_sorted_lists, run_method, seed_query, verify_above, verify_topk, BuildClock,
+    RunConfig,
 };
 use crate::query::QueryBatch;
 use crate::tuner::{self, TuneGoal, Tuning};
@@ -500,8 +501,9 @@ pub(crate) fn above_theta_prepared(
 
 /// Builds every index the bucket can need once warmed: the variant's method
 /// at the largest reachable local threshold (1.0) plus both sorted-list
-/// layouts (COORD and INCR), which the adaptive arm menu draws from. The
-/// cache budget already accounts for the two sorted-list layouts
+/// layouts (COORD and INCR, from one sort per coordinate), which the
+/// adaptive arm menu draws from; a 1-d bucket gets COORD alone. The cache
+/// budget already accounts for the two sorted-list layouts
 /// ([`crate::BucketPolicy::max_bucket`]), so this stays within the paper's
 /// cache model. QUANT codes are engine-wide ([`prebuild_all`]).
 pub(crate) fn warm_bucket(
@@ -514,19 +516,14 @@ pub(crate) fn warm_bucket(
     if bucket.max_len <= 0.0 {
         return;
     }
+    if bucket.dirs.dim() > 1 {
+        ensure_sorted_lists(bucket, clock);
+    } else {
+        let coord = ResolvedMethod::Coord(1);
+        ensure_for(bucket, coord, cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
+    }
     let method = ensure_method(cfg.variant, params, 1.0);
     ensure_for(bucket, method, cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
-    ensure_for(bucket, ResolvedMethod::Coord(1), cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
-    if bucket.dirs.dim() > 1 {
-        ensure_for(
-            bucket,
-            ResolvedMethod::Incr(2),
-            cfg.l2ap_topk_threshold,
-            cfg,
-            bucket_seed,
-            clock,
-        );
-    }
 }
 
 /// Warms every bucket (see [`warm_bucket`]); `per_bucket` must be aligned

@@ -23,7 +23,9 @@ use crate::algos::blsh_bucket::MinMatchTable;
 use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
-use crate::exec::{candidate_rows, ensure_for, run_method, seed_topk, BuildClock, RunConfig};
+use crate::exec::{
+    candidate_rows, ensure_for, ensure_sorted_lists, run_method, seed_topk, BuildClock, RunConfig,
+};
 use crate::query::QueryBatch;
 use crate::variant::{resolve, LempVariant, ResolvedMethod, TunedParams};
 
@@ -162,7 +164,12 @@ fn tune_phi_tb(
         rows.clear();
         let max_phi = MAX_PHI.min(bucket.dirs.dim());
         // The coordinate methods need their index; build it now (counted as
-        // preprocessing, like the paper's "maximum indexing time").
+        // preprocessing, like the paper's "maximum indexing time"). The INCR
+        // variants run φ = 1 on COORD and φ ≥ 2 on INCR: one sort per
+        // coordinate builds both.
+        if incr && max_phi > 1 {
+            ensure_sorted_lists(bucket, clock);
+        }
         for phi in 1..=max_phi {
             ensure_for(bucket, coord_method(incr, phi), 1e-3, cfg, 0, clock);
         }
@@ -210,7 +217,7 @@ fn tune_quant(
     for (b, params) in per_bucket.iter_mut().enumerate().take(buckets.bucket_count()) {
         let seed = crate::runner::cfg_seed(cfg, b);
         let bucket = &mut buckets.buckets_mut()[b];
-        if bucket.max_len <= 0.0 || bucket.indexes.quant.is_none() {
+        if !quant_ready(bucket) {
             continue;
         }
         if cfg.quantize_force {
@@ -238,6 +245,12 @@ fn tune_quant(
             params.quant = true;
         }
     }
+}
+
+/// Whether QUANT can serve `bucket`: it holds codes, and some query can
+/// reach it. `quantize_force` routes exactly these buckets to QUANT.
+pub(crate) fn quant_ready(bucket: &Bucket) -> bool {
+    bucket.max_len > 0.0 && bucket.indexes.quant.is_some()
 }
 
 fn coord_method(incr: bool, phi: usize) -> ResolvedMethod {

@@ -414,6 +414,60 @@ fn quantized_engines_stay_bit_identical_through_churn() {
     }
 }
 
+#[test]
+fn forced_quantization_survives_a_rebuild() {
+    // A rebuild trains a fresh codebook and encodes every bucket of the
+    // compacted layout. Under `quantize_force` the engine must keep
+    // scanning those buckets through QUANT with no re-warm, as the forced
+    // tuner routes them, and every answer must stay exact.
+    let (q, p) = fixture();
+    let script = churn_script(&p, 79);
+    let config =
+        RunConfig { sample_size: 8, quantize_bits: 8, quantize_force: true, ..Default::default() };
+    let mut quant_dynamic = DynamicLemp::new(&p, BucketPolicy::default(), config);
+    quant_dynamic.warm(&q, WarmGoal::TopK(K));
+    apply!(&script, quant_dynamic);
+    quant_dynamic.rebuild();
+
+    let mut quant_sharded = ShardedLemp::builder()
+        .shards(3)
+        .policy(ShardPolicy::LengthBanded)
+        .sample_size(8)
+        .quantize(8)
+        .quantize_force(true)
+        .build(&p);
+    quant_sharded.warm(&q, WarmGoal::TopK(K));
+    apply!(&script, quant_sharded);
+    quant_sharded.rebuild();
+
+    // Unforced, the tuned picks reset as documented: no QUANT until the
+    // next warm re-tunes.
+    let config = RunConfig { sample_size: 8, quantize_bits: 8, ..Default::default() };
+    let mut unforced = DynamicLemp::new(&p, BucketPolicy::default(), config);
+    unforced.warm(&q, WarmGoal::TopK(K));
+    unforced.rebuild();
+    let mut scratch = unforced.query_scratch();
+    let response = unforced.run(&QueryRequest::top_k(K), &q, &mut scratch);
+    assert_eq!(response.stats.method_mix.quant, 0, "unforced picks reset on rebuild");
+
+    let config = RunConfig { sample_size: 8, ..Default::default() };
+    let mut exact = DynamicLemp::new(&p, BucketPolicy::default(), config);
+    apply!(&script, exact);
+    exact.warm(&q, WarmGoal::TopK(K));
+    let (_, live) = exact.live_vectors();
+    let floor = biting_floor(&q, &live);
+    let expect = classic_for_dynamic(&exact, &q, floor);
+    for (name, engine) in [
+        ("DynamicLemp+quant", &quant_dynamic as &dyn Engine),
+        ("ShardedLemp+quant", &quant_sharded),
+    ] {
+        let mut scratch = engine.query_scratch();
+        let response = engine.run(&QueryRequest::top_k(K), &q, &mut scratch);
+        assert!(response.stats.method_mix.quant > 0, "{name}: QUANT stopped after the rebuild");
+        assert_every_answer_matches(name, engine, &q, floor, &expect);
+    }
+}
+
 /// One-row query stores, so consecutive calls on different engines see
 /// the same query direction back to back.
 fn rows(q: &VectorStore) -> Vec<VectorStore> {

@@ -5,10 +5,11 @@
 //! is pruning work to avoid calling these). The portable implementations are
 //! straight-line slice code with manually unrolled independent accumulators
 //! so that rustc auto-vectorizes them; the reducing kernels (`dot`,
-//! `dot_rows`, `dist_sq`) and `axpy` additionally dispatch at runtime to the
-//! explicit AVX2 versions in [`crate::simd`], which produce **bit-identical**
-//! results (same per-lane operation order, no FMA) — enabling SIMD never
-//! changes a single produced value anywhere in the workspace.
+//! `dot_rows`, `dist_sq`, `nearest_centroid`) and `axpy` additionally
+//! dispatch at runtime to the explicit AVX2 versions in [`crate::simd`],
+//! which produce **bit-identical** results (same per-lane operation order,
+//! no FMA) — enabling SIMD never changes a single produced value anywhere
+//! in the workspace.
 //!
 //! [`dot_rows`] is the batched form of [`dot`] for one query against many
 //! rows (a candidate list to verify): four rows per kernel call, each value
@@ -163,6 +164,29 @@ pub fn lut_scan_u16(codes: &[u16], lut: &[f64], n: usize, m: usize, k: usize, ou
     assert_eq!(lut.len(), m * k, "lut_scan: lut must hold m·k entries");
     assert!(out.len() >= n, "lut_scan: out must hold n scores");
     simd::lut_scan_u16(codes, lut, n, m, k, out);
+}
+
+/// Nearest centroid of one quantization subspace: the index and squared
+/// distance of the **first** centroid at the smallest `‖point − c‖²`.
+///
+/// `point` has `w = point.len()` coordinates (1 to 4). `cols` holds the
+/// subspace's `k = cols.len() / 4` centroids transposed into 4 rows of `k`
+/// (`cols[j·k + c]` is coordinate `j` of centroid `c`); rows `j ≥ w` are
+/// padding and never read. Each distance is rounded as `(d0² + d1²) +
+/// (d2² + d3²)` with `d_j² = 0` for `j ≥ w` — bit-identical to
+/// [`dist_sq`] of the `w` coordinates — and ties go to the smaller index,
+/// as in a scan that replaces its best only on a strictly smaller
+/// distance. `k = 0` gives `(0, ∞)`. Dispatches to a bit-identical AVX2
+/// kernel (eight centroids per step in two 4-lane chains) when available.
+///
+/// # Panics
+/// If `point` has no or more than 4 coordinates, or `cols.len()` is not a
+/// multiple of 4.
+#[inline]
+pub fn nearest_centroid(point: &[f64], cols: &[f64]) -> (usize, f64) {
+    assert!((1..=4).contains(&point.len()), "nearest_centroid: point must have 1 to 4 coordinates");
+    assert!(cols.len().is_multiple_of(4), "nearest_centroid: cols must hold 4 rows of k");
+    simd::nearest_centroid(point, cols)
 }
 
 /// Cosine of the angle between `a` and `b`; 0 if either vector is zero.

@@ -17,6 +17,17 @@
 //! chains in flight instead of one), and reduces each row exactly as `dot`
 //! does. Its portable fallback keeps the same sixteen scalar accumulators.
 //!
+//! The nearest-centroid search behind [`crate::kernels::nearest_centroid`]
+//! (quantization training and encoding) computes each centroid's squared
+//! distance as `(d0² + d1²) + (d2² + d3²)`, exactly as
+//! [`crate::kernels::dist_sq`] rounds a subspace of four coordinates, for
+//! four centroids per vector (one per lane) in two independent chains.
+//! Coordinates past the point's width `w` add an exact `0.0`, which
+//! reproduces `dist_sq` of `w` coordinates bit for bit, and the first
+//! minimum is kept: a lane replaces its best only on a strictly smaller
+//! distance, and the lanes reduce to the smallest distance at the smallest
+//! index.
+//!
 //! Bit-identity matters in this workspace: exact LEMP variants are tested
 //! to return byte-identical results to the Naive baseline, and the dynamic
 //! maintenance engine looks vectors up by the bit pattern of their stored
@@ -169,6 +180,26 @@ pub(crate) fn axpy(s: f64, b: &[f64], a: &mut [f64]) {
         return;
     }
     axpy_scalar(s, b, a);
+}
+
+/// Fewest centroids worth the AVX2 nearest-centroid search: one full step
+/// of two 4-lane chains. Smaller codebooks take the scalar loop.
+const MIN_SIMD_CENTROIDS: usize = 8;
+
+/// Dispatched nearest-centroid search; see
+/// [`crate::kernels::nearest_centroid`] for the contract.
+#[inline]
+pub(crate) fn nearest_centroid(point: &[f64], cols: &[f64]) -> (usize, f64) {
+    let k = cols.len() / 4;
+    debug_assert!((1..=4).contains(&point.len()) && cols.len() == 4 * k);
+    #[cfg(target_arch = "x86_64")]
+    if k >= MIN_SIMD_CENTROIDS && active() == Isa::Avx2 {
+        // SAFETY: as in `dot`; the kernel loads only rows `j < 4` of `cols`,
+        // each `k = cols.len() / 4` long, so every load stays inside `cols`
+        // whatever the point's length (its coordinates are bounds-checked).
+        return unsafe { avx2::nearest_centroid(point, cols, k) };
+    }
+    nearest_centroid_scalar(point, cols)
 }
 
 /// Dispatched LUT gather-accumulate scan over `u8` codes; see
@@ -338,6 +369,45 @@ pub(crate) fn dist_sq_scalar(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + tail
 }
 
+/// Portable nearest-centroid search: one centroid at a time, in index
+/// order, replacing the best only on a strictly smaller distance.
+#[inline]
+pub(crate) fn nearest_centroid_scalar(point: &[f64], cols: &[f64]) -> (usize, f64) {
+    match point.len() {
+        1 => nearest_centroid_w::<1>(point, cols),
+        2 => nearest_centroid_w::<2>(point, cols),
+        3 => nearest_centroid_w::<3>(point, cols),
+        _ => nearest_centroid_w::<4>(point, cols),
+    }
+}
+
+/// [`nearest_centroid_scalar`] for a point of `W` coordinates: each
+/// distance is `(d0² + d1²) + (d2² + d3²)` with `d_j² = 0` for `j ≥ W`
+/// (rows `j ≥ W` of `cols` are never read).
+#[inline(always)]
+fn nearest_centroid_w<const W: usize>(point: &[f64], cols: &[f64]) -> (usize, f64) {
+    let k = cols.len() / 4;
+    let p: [f64; 4] = std::array::from_fn(|j| if j < W { point[j] } else { 0.0 });
+    let rows: [&[f64]; 4] = std::array::from_fn(|j| if j < W { &cols[j * k..][..k] } else { &[] });
+    let sq = |j: usize, c: usize| {
+        if j < W {
+            let d = p[j] - rows[j][c];
+            d * d
+        } else {
+            0.0
+        }
+    };
+    let (mut best, mut best_d) = (0, f64::INFINITY);
+    for c in 0..k {
+        let d = (sq(0, c) + sq(1, c)) + (sq(2, c) + sq(3, c));
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+    }
+    (best, best_d)
+}
+
 /// Portable reference `a += s·b` (elementwise; order-independent).
 #[inline]
 pub(crate) fn axpy_scalar(s: f64, b: &[f64], a: &mut [f64]) {
@@ -350,10 +420,12 @@ pub(crate) fn axpy_scalar(s: f64, b: &[f64], a: &mut [f64]) {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m128i, __m256d, _mm256_add_pd, _mm256_hadd_pd, _mm256_i32gather_pd, _mm256_loadu_pd,
-        _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm256_sub_pd, _mm_cvtepu16_epi32, _mm_cvtepu8_epi32, _mm_cvtsi32_si128,
-        _mm_cvtsi64_si128, _mm_min_epi32, _mm_set1_epi32,
+        __m128i, __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_blendv_pd, _mm256_cmp_pd,
+        _mm256_cvtsd_f64, _mm256_hadd_pd, _mm256_i32gather_pd, _mm256_loadu_pd, _mm256_mul_pd,
+        _mm256_or_pd, _mm256_permute2f128_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm_cvtepu16_epi32, _mm_cvtepu8_epi32,
+        _mm_cvtsi32_si128, _mm_cvtsi64_si128, _mm_min_epi32, _mm_set1_epi32, _CMP_EQ_OQ,
+        _CMP_LT_OQ,
     };
 
     /// Reduces the 4-lane accumulator exactly like the scalar kernels:
@@ -467,6 +539,116 @@ mod avx2 {
             tail += d * d;
         }
         reduce(acc) + tail
+    }
+
+    /// AVX2 nearest-centroid search, bit-identical to
+    /// [`super::nearest_centroid_scalar`] (index and distance).
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and that `cols` holds at
+    /// least `4·k` values.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn nearest_centroid(point: &[f64], cols: &[f64], k: usize) -> (usize, f64) {
+        match point.len() {
+            1 => nearest_centroid_w::<1>(point, cols, k),
+            2 => nearest_centroid_w::<2>(point, cols, k),
+            3 => nearest_centroid_w::<3>(point, cols, k),
+            _ => nearest_centroid_w::<4>(point, cols, k),
+        }
+    }
+
+    /// [`nearest_centroid`] for a point of `W` coordinates. Eight centroids
+    /// per step: chain A takes centroids `8s..8s+4`, chain B `8s+4..8s+8`,
+    /// one per lane, so each lane sees its centroids in increasing order
+    /// and keeps the first of its smallest distances (strict `<`). Two
+    /// chains keep two compare → blend sequences in flight. The eight
+    /// (distance, index) lane bests then reduce to the smallest distance at
+    /// the smallest index, and the `k mod 8` tail is scanned in order, so
+    /// the result is the scalar loop's first minimum.
+    ///
+    /// # Safety
+    /// As in [`nearest_centroid`] (the point's first `W` coordinates are read,
+    /// bounds-checked).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn nearest_centroid_w<const W: usize>(
+        point: &[f64],
+        cols: &[f64],
+        k: usize,
+    ) -> (usize, f64) {
+        let zero = _mm256_setzero_pd();
+        let p: [__m256d; 4] =
+            std::array::from_fn(|j| if j < W { _mm256_set1_pd(point[j]) } else { zero });
+        let base = cols.as_ptr();
+        // Squared distances of four centroids from `c` on: `(d0² + d1²) +
+        // (d2² + d3²)` per lane, rows `j ≥ W` replaced by an exact zero.
+        let dist = |c: usize| {
+            let sq = |j: usize| {
+                if j < W {
+                    let d = _mm256_sub_pd(p[j], _mm256_loadu_pd(base.add(j * k + c)));
+                    _mm256_mul_pd(d, d)
+                } else {
+                    zero
+                }
+            };
+            _mm256_add_pd(_mm256_add_pd(sq(0), sq(1)), _mm256_add_pd(sq(2), sq(3)))
+        };
+        let inf = _mm256_set1_pd(f64::INFINITY);
+        let (mut best_a, mut best_b) = (inf, inf);
+        let (mut at_a, mut at_b) = (zero, zero);
+        let mut ids_a = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
+        let mut ids_b = _mm256_set_pd(7.0, 6.0, 5.0, 4.0);
+        let step = _mm256_set1_pd(8.0);
+        let full = k / 8 * 8;
+        for c in (0..full).step_by(8) {
+            let da = dist(c);
+            let db = dist(c + 4);
+            let lt_a = _mm256_cmp_pd::<_CMP_LT_OQ>(da, best_a);
+            let lt_b = _mm256_cmp_pd::<_CMP_LT_OQ>(db, best_b);
+            best_a = _mm256_blendv_pd(best_a, da, lt_a);
+            best_b = _mm256_blendv_pd(best_b, db, lt_b);
+            at_a = _mm256_blendv_pd(at_a, ids_a, lt_a);
+            at_b = _mm256_blendv_pd(at_b, ids_b, lt_b);
+            ids_a = _mm256_add_pd(ids_a, step);
+            ids_b = _mm256_add_pd(ids_b, step);
+        }
+        // Lane bests pair up — chain B into A, then the upper half into the
+        // lower, then lane 1 into lane 0 — keeping the smaller distance and,
+        // on a tie, the smaller index.
+        let (d, at) = first_min(best_a, at_a, best_b, at_b);
+        let (d, at) = first_min(d, at, _mm256_permute2f128_pd::<1>(d, d), {
+            _mm256_permute2f128_pd::<1>(at, at)
+        });
+        let (d, at) =
+            first_min(d, at, _mm256_permute_pd::<0b0101>(d), _mm256_permute_pd::<0b0101>(at));
+        let (mut best_d, mut best) = (_mm256_cvtsd_f64(d), _mm256_cvtsd_f64(at) as usize);
+        for c in full..k {
+            let mut lanes = [0.0f64; 4];
+            for (j, lane) in lanes.iter_mut().enumerate().take(W) {
+                let d = point[j] - cols[j * k + c];
+                *lane = d * d;
+            }
+            let d = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+            if d < best_d {
+                best_d = d;
+                best = c;
+            }
+        }
+        (best, best_d)
+    }
+
+    /// Lane by lane, the (distance, index) pair of `(d0, i0)` and `(d1, i1)`
+    /// with the smaller distance, or on equal distances the smaller index.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn first_min(d0: __m256d, i0: __m256d, d1: __m256d, i1: __m256d) -> (__m256d, __m256d) {
+        let tie =
+            _mm256_and_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(d1, d0), _mm256_cmp_pd::<_CMP_LT_OQ>(i1, i0));
+        let take = _mm256_or_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(d1, d0), tie);
+        (_mm256_blendv_pd(d0, d1, take), _mm256_blendv_pd(i0, i1, take))
     }
 
     /// Loads four consecutive `u8` codes as clamped 32-bit gather indices
@@ -877,6 +1059,102 @@ mod tests {
             }
             override_isa(prev);
         }
+    }
+
+    /// The search `nearest_centroid` replaces: `dist_sq_scalar` of the
+    /// point against each centroid (row-major, `w` coordinates), first
+    /// minimum on strict `<`.
+    fn nearest_reference(point: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
+        let (mut best, mut best_d) = (0, f64::INFINITY);
+        for (c, cent) in centroids.iter().enumerate() {
+            let d = dist_sq_scalar(point, &cent[..point.len()]);
+            if d < best_d {
+                best_d = d;
+                best = c;
+            }
+        }
+        (best, best_d)
+    }
+
+    /// `centroids` transposed into 4 rows of `k`; rows `j ≥ w` hold
+    /// `padding`, which the search must ignore.
+    fn transpose(centroids: &[Vec<f64>], w: usize, padding: f64) -> Vec<f64> {
+        let k = centroids.len();
+        let mut cols = vec![padding; 4 * k];
+        for (c, cent) in centroids.iter().enumerate() {
+            for j in 0..w {
+                cols[j * k + c] = cent[j];
+            }
+        }
+        cols
+    }
+
+    fn assert_nearest_matches(point: &[f64], centroids: &[Vec<f64>], ctx: &str) {
+        let want = nearest_reference(point, centroids);
+        for padding in [0.0, 1e300, -7.5] {
+            let cols = transpose(centroids, point.len(), padding);
+            let scalar = nearest_centroid_scalar(point, &cols);
+            let got = crate::kernels::nearest_centroid(point, &cols);
+            for (path, (at, d)) in [("scalar", scalar), ("dispatched", got)] {
+                assert_eq!(at, want.0, "{ctx}, padding {padding}: {path} index");
+                assert_eq!(d.to_bits(), want.1.to_bits(), "{ctx}, padding {padding}: {path} dist");
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_centroid_is_the_first_minimum_of_dist_sq_on_both_isas() {
+        let _g = isa_guard();
+        let mut ks: Vec<usize> = (1..=20).collect();
+        ks.extend([255, 256, 257]);
+        for isa in [Isa::Scalar, Isa::Avx2] {
+            if isa == Isa::Avx2 && !avx2_supported() {
+                continue;
+            }
+            let prev = override_isa(isa);
+            for &k in &ks {
+                for w in 1..=4 {
+                    let seed = (k * 8 + w) as u64;
+                    let vals = pseudo(seed, 4 * k + 4);
+                    let mut centroids: Vec<Vec<f64>> =
+                        vals.chunks_exact(4).take(k).map(<[f64]>::to_vec).collect();
+                    let point = vals[4 * k..4 * k + w].to_vec();
+                    let ctx = format!("{isa:?} k={k} w={w}");
+                    assert_nearest_matches(&point, &centroids, &ctx);
+                    // The point on a centroid: distance exactly 0 there.
+                    let on = centroids[k / 2].clone();
+                    assert_nearest_matches(&on[..w], &centroids, &format!("{ctx}, on a centroid"));
+                    // Duplicate centroids: ties resolve to the first copy,
+                    // whichever lane or chain holds it.
+                    for c in 0..k {
+                        centroids[c] = centroids[(c * 7) % k.min(5)].clone();
+                    }
+                    assert_nearest_matches(&point, &centroids, &format!("{ctx}, duplicates"));
+                    // Every centroid equal: index 0, on every lane.
+                    let same = vec![centroids[0].clone(); k];
+                    assert_nearest_matches(&point, &same, &format!("{ctx}, all equal"));
+                    // ±0.0 in the point and the centroids.
+                    let signed: Vec<Vec<f64>> = (0..k)
+                        .map(|c| {
+                            (0..4).map(|j| if (c + j) % 2 == 0 { 0.0 } else { -0.0 }).collect()
+                        })
+                        .collect();
+                    assert_nearest_matches(&[-0.0; 4][..w], &signed, &format!("{ctx}, ±0.0"));
+                }
+            }
+            override_isa(prev);
+        }
+    }
+
+    #[test]
+    fn nearest_centroid_of_an_empty_codebook_is_index_zero_at_infinity() {
+        assert_eq!(crate::kernels::nearest_centroid(&[1.0, 2.0], &[]), (0, f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 4 coordinates")]
+    fn nearest_centroid_rejects_wide_points() {
+        crate::kernels::nearest_centroid(&[0.0; 5], &[0.0; 8]);
     }
 
     /// Checks every value `kernels::dot_rows` emits against `dot_scalar`,

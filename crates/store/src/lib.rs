@@ -10,7 +10,8 @@
 //! * [`wal`] — the `LEMPWAL1` log: length-prefixed records (insert /
 //!   remove / rebuild) with a CRC-32 each, segment rotation at a size
 //!   threshold, torn-tail truncation on open.
-//! * [`store`] — snapshot compaction (a `LEMPDYN1` engine image plus a
+//! * [`store`] — snapshot compaction (a [`lemp_core::DynamicLemp::write_to`]
+//!   engine image — `LEMPDYN1`, or `LEMPDYN3` when quantized — plus a
 //!   `CHECKPOINT` marker, then pruning of covered segments) and
 //!   [`recover`]: load the latest snapshot, replay the tail.
 //! * [`DurableEngine`] — wraps a [`lemp_core::DynamicLemp`] so every edit

@@ -16,8 +16,11 @@
 //! ```text
 //! magic "LEMPSNP2" (8) | checkpoint LSN (u64) | fencing epoch (u64) |
 //! image length (u64) | image CRC-32 (u32) |
-//! LEMPDYN1 engine image (image length bytes)
+//! engine image (image length bytes)
 //! ```
+//!
+//! The image is what [`lemp_core::DynamicLemp::write_to`] writes:
+//! `LEMPDYN1`, or `LEMPDYN3` when the engine is quantized.
 //!
 //! **Batch** (`LEMPREP2`) — one tail-follow response:
 //!
@@ -224,8 +227,9 @@ pub fn decode_batch(bytes: &[u8], expect_from: u64) -> Result<ReplBatch, StoreEr
     Ok(ReplBatch { from_lsn, leader_next_lsn, epoch, records })
 }
 
-/// Encodes a bootstrap snapshot payload around a `LEMPDYN1` engine image
-/// taken at checkpoint `lsn` under fencing `epoch`.
+/// Encodes a bootstrap snapshot payload around a
+/// [`DynamicLemp::write_to`] engine image taken at checkpoint `lsn` under
+/// fencing `epoch`.
 pub fn encode_snapshot(lsn: u64, epoch: u64, image: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(SNAP_HEADER + image.len());
     bytes.extend_from_slice(SNAP_MAGIC);

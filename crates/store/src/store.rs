@@ -5,11 +5,14 @@
 //!
 //! ```text
 //! store/
-//!   snap-<lsn:016x>.eng    LEMPDYN1 engine image folding records < lsn
+//!   snap-<lsn:016x>.eng    engine image folding records < lsn
 //!   CHECKPOINT             marker: magic + lsn + snapshot len + fencing
 //!                          epoch + snapshot CRC + CRC (tmp+rename)
 //!   wal-<lsn:016x>.log     LEMPWAL1 segments (see [`crate::wal`])
 //! ```
+//!
+//! A snapshot is the [`DynamicLemp::write_to`] image of the engine:
+//! `LEMPDYN1`, or `LEMPDYN3` when it is quantized.
 //!
 //! # Protocol invariants
 //!
@@ -201,9 +204,10 @@ pub(crate) fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreErr
 
 /// Writes a durable snapshot image of `engine` at checkpoint `lsn` (tmp +
 /// fsync + rename + dir fsync) and returns the [`Marker`] describing it.
-/// The image is the ordinary `LEMPDYN1` dynamic-engine format
-/// ([`DynamicLemp::write_to`]) — the snapshotter reuses `lemp-core`'s
-/// persistence end to end rather than keeping a copy.
+/// The image is the ordinary dynamic-engine format of
+/// [`DynamicLemp::write_to`] (`LEMPDYN1`, or `LEMPDYN3` when quantized) —
+/// the snapshotter reuses `lemp-core`'s persistence end to end rather than
+/// keeping a copy.
 pub(crate) fn write_snapshot(
     dir: &Path,
     engine: &DynamicLemp,
