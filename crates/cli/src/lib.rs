@@ -68,8 +68,8 @@ partitioning and requires shards= or a sharded image; quantize=<bits> (1..=16)
 trains per-bucket subspace codebooks at warm-up and lets the tuner pick the
 quantized LUT scan per bucket — every candidate is re-verified against the
 full-precision vectors, so answers stay exact; quantize-force=true skips the
-tuner's load-sensitive LUT-vs-exact timing and always routes codebooked
-buckets through the LUT scan (reproducible QUANT usage for benchmarks); explain=true prints the
+tuner's LUT-vs-exact pricing and always routes codebooked
+buckets through the LUT scan (QUANT usage for benchmarks); explain=true prints the
 compiled per-bucket plan summary to stderr (a quantized bucket names its bits,
 codebook size and distortion bound);
 durable=<dir> write-ahead logs every POST /probes edit into <dir> before applying

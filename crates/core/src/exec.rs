@@ -38,11 +38,9 @@ pub struct RunConfig {
     /// the tuner decides per bucket whether the LUT scan or the variant's
     /// exact scan wins.
     pub quantize_bits: u8,
-    /// Skips the tuner's LUT-vs-exact timing race and routes every bucket
-    /// with codes through the quantized scan. The per-bucket
-    /// decision in `tune_quant` is measured wall-clock, so which buckets
-    /// flip to QUANT varies with machine load; forcing it makes runs that
-    /// must exercise the LUT kernel (benchmarks, smoke tests) reproducible.
+    /// Routes every bucket with codes to QUANT without pricing: the tuner
+    /// skips its LUT-vs-exact comparison, so runs that must exercise the
+    /// LUT kernel (benchmarks, smoke tests) scan every bucket through it.
     /// No effect unless `quantize_bits > 0`; exactness is unaffected either
     /// way (candidates are always re-verified against full precision).
     pub quantize_force: bool,

@@ -293,7 +293,7 @@ impl LempBuilder {
     }
 
     /// Forces the quantized LUT scan on every bucket with codes instead
-    /// of letting the tuner time LUT vs exact (see
+    /// of letting the tuner price LUT vs exact (see
     /// [`RunConfig::quantize_force`]). No effect without
     /// [`quantize`](Self::quantize).
     pub fn quantize_force(mut self, force: bool) -> Self {

@@ -563,11 +563,54 @@ fn floor_scaled_for(floor: f64, qlen: f64) -> f64 {
     fl - 1e-12 * fl.abs()
 }
 
+/// Whether the Row-Top-k sweep stops at `bucket` with running bound
+/// `theta`: the bucket's local threshold exceeds 1 (with the same slack as
+/// bucket pruning). `θ′` only grows and buckets only get shorter, so every
+/// later bucket is pruned too.
+pub(crate) fn sweep_stops(theta: f64, bucket: &Bucket) -> bool {
+    local_threshold(theta, 1.0, bucket.max_len) > 1.0 + 1e-12
+}
+
+/// The query context the Row-Top-k sweep poses to `bucket` at running
+/// bound `theta` (`‖q‖ = 1`, Sec. 4.5).
+pub(crate) fn sweep_ctx<'a>(dir: &'a [f64], theta: f64, bucket: &Bucket) -> QueryCtx<'a> {
+    QueryCtx {
+        dir,
+        len: 1.0,
+        theta,
+        theta_over_len: theta,
+        local_threshold: region_threshold(theta, 1.0, bucket.max_len, bucket.min_len),
+        scaled: dir,
+    }
+}
+
+/// The bucket sweep of one Row-Top-k query, continuing from the heap
+/// [`seed_query`] seeded with the k longest probes (Sec. 4.5): hands
+/// `visit` each bucket in decreasing-length order with its index and the
+/// running `θ′` on entry, raised to `floor_scaled` (Row-Top-k with a score
+/// floor; `−∞` for the plain problem), and stops where [`sweep_stops`].
+/// `visit` pushes the bucket's candidates into `top`. Shared by the query
+/// drivers and the tuner's sample sweeps, so tuning sees the bounds the
+/// drivers pose.
+pub(crate) fn sweep_buckets(
+    buckets: &[Bucket],
+    floor_scaled: f64,
+    top: &mut TopK,
+    mut visit: impl FnMut(usize, &Bucket, f64, &mut TopK),
+) {
+    let mut theta = top.threshold().max(floor_scaled);
+    for (b, bucket) in buckets.iter().enumerate() {
+        if sweep_stops(theta, bucket) {
+            break;
+        }
+        visit(b, bucket, theta, top);
+        theta = top.threshold().max(floor_scaled);
+    }
+}
+
 /// The bucket sweep of one Row-Top-k query over pre-built buckets (shared
-/// by the serial and parallel drivers), continuing from the heap
-/// [`seed_query`] seeded with the k longest probes (Sec. 4.5). Returns the
-/// top-k list (original probe ids). `floor_scaled` raises the running `θ′`
-/// from below (Row-Top-k with a score floor; `−∞` for the plain problem).
+/// by the serial and parallel drivers, see [`sweep_buckets`]). Returns the
+/// top-k list (original probe ids).
 #[allow(clippy::too_many_arguments)]
 fn topk_sweep(
     buckets: &[Bucket],
@@ -583,29 +626,16 @@ fn topk_sweep(
     counters: &mut RetrievalCounters,
     mix: &mut MethodMix,
 ) -> Vec<lemp_linalg::ScoredItem> {
-    let mut theta = top.threshold().max(floor_scaled);
-    for (b, bucket) in buckets.iter().enumerate() {
-        if local_threshold(theta, 1.0, bucket.max_len) > 1.0 + 1e-12 {
-            break; // θ′ only grows and buckets only get shorter
-        }
+    sweep_buckets(buckets, floor_scaled, top, |b, bucket, theta, top| {
         scratch.ensure(bucket.len());
-        let th_b = region_threshold(theta, 1.0, bucket.max_len, bucket.min_len);
-        let method = resolve(variant, &per_bucket[b], th_b);
+        let ctx = sweep_ctx(dir, theta, bucket);
+        let method = resolve(variant, &per_bucket[b], ctx.local_threshold);
         mix.record(method);
-        let ctx = QueryCtx {
-            dir,
-            len: 1.0,
-            theta,
-            theta_over_len: theta,
-            local_threshold: th_b,
-            scaled: dir,
-        };
         sink.clear();
         let internal = run_method(method, &ctx, bucket, blsh_table, scratch, sink);
         let vdots = verify_topk(bucket, &ctx, sink, seed_counts[b], top);
         counters.candidates += internal + vdots;
-        theta = top.threshold().max(floor_scaled);
-    }
+    });
     top.drain_sorted()
 }
 
@@ -748,8 +778,7 @@ fn serial_topk(
             if bucket.max_len <= 0.0 {
                 continue;
             }
-            let th_b = local_threshold(theta_seed, 1.0, bucket.max_len);
-            if th_b > 1.0 + 1e-12 {
+            if sweep_stops(theta_seed, bucket) {
                 break;
             }
             // θ′ grows while the query sweeps buckets, so the local

@@ -93,7 +93,7 @@ pub struct TunedParams {
     pub phi: usize,
     /// Run the quantized LUT scan for this bucket instead of the variant's
     /// method (set by the tuner when the engine was built with
-    /// `quantize=<bits>` and the compressed scan timed faster).
+    /// `quantize=<bits>` and the compressed scan priced no dearer).
     pub quant: bool,
 }
 

@@ -1223,9 +1223,8 @@ fn metrics_report_quant_method_mix_on_a_quantized_server() {
     let probes = fixture(300, 61);
     let queries = fixture(16, 62);
     let policy = BucketPolicy { min_bucket: 8, ..Default::default() };
-    // quantize_force: the tuner's LUT-vs-exact choice is measured
-    // wall-clock and flips with machine load; forcing it keeps this test
-    // deterministic.
+    // quantize_force: every bucket with codes scans through QUANT, so the
+    // method mix below has QUANT pairs whatever the tuner would price.
     let config =
         RunConfig { sample_size: 8, quantize_bits: 8, quantize_force: true, ..Default::default() };
     let mut engine = DynamicLemp::new(&probes, policy, config);
