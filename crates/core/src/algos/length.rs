@@ -18,17 +18,12 @@ use super::{QueryCtx, Sink};
 /// Runs LENGTH: pushes the length-qualified prefix of the bucket as
 /// unverified candidates.
 pub fn run(ctx: &QueryCtx<'_>, bucket: &Bucket, sink: &mut Sink) {
-    let n = prefix_len(ctx, bucket);
-    sink.unverified.extend(0..n as u32);
-}
-
-/// Length of the qualifying prefix: the rows with `‖p‖ ≥ θ/‖q‖`.
-pub(crate) fn prefix_len(ctx: &QueryCtx<'_>, bucket: &Bucket) -> usize {
     // Tiny downward slack: `θ/‖q‖` and `‖p‖` are derived (division, sqrt)
     // quantities, so a pair sitting exactly on the threshold could
     // otherwise be lost to rounding.
     let cut = ctx.theta_over_len - 1e-12 * ctx.theta_over_len.abs();
-    bucket.lengths.partition_point(|&l| l >= cut)
+    let n = bucket.lengths.partition_point(|&l| l >= cut);
+    sink.unverified.extend(0..n as u32);
 }
 
 #[cfg(test)]
